@@ -7,17 +7,16 @@
 //     scan), and
 //   * CMA at N in {100, 400, 1000} nodes (quick: {60, 150}) for 200 slots
 //     (quick: 50) under each link model (disk / distance-loss /
-//     Gilbert-Elliott) with both bus delivery modes (grid-pruned vs
-//     all-pairs),
+//     Gilbert-Elliott) on the grid-pruned bus,
 //   * sharded CMA at N = 10000 (quick: 2000) on a constant-density region
 //     (side = sqrt(N / 0.1), the paper's ~0.1 nodes/m^2) with the
 //     tile-sharded slot schedule against the unsharded grid-pruned seed
 //     path — bit-identical trajectories and drop taxonomy required, with
 //     a paired-ratio `speedup_vs_unsharded` and a `shard_degraded` hard
 //     gate (< 1.0 fails --check, the win-margin precedent),
-//   * delta evaluation of one FRA deployment at resolution 256 with both
-//     point-location engines (per-point remembering walk vs triangle
-//     raster spans), and a fig10-style sweep of several deployments
+//   * delta evaluation of one FRA deployment at resolution 256 (the
+//     raster sweep), the same plan tracked by the cavity-local
+//     incremental engine, and a fig10-style sweep of several deployments
 //     against one frame with the reference-lattice cache on,
 //   * a planner-service job mix — the same deterministic Score / Plan /
 //     WhatIf jobs submitted to a PlannerService at pool sizes 1 and 4 AND
@@ -30,7 +29,7 @@
 // (transmit attempts per slot, candidates scanned per iteration, MST
 // recomputes, heap pushes / stale pops, grid cells probed, point-location
 // walks, batched rows, reference-cache hits), plus a `machine` block
-// (hardware threads, CPS_THREADS, pool size, default engines) so the perf
+// (hardware threads, CPS_THREADS, pool size, FRA selection engine) so the perf
 // trajectory is comparable across runners.
 //
 // The counters — not the wall times — are the primary regression signal:
@@ -54,9 +53,10 @@
 // biasing the engine measured first.
 //
 // Every paired sweep doubles as an equivalence oracle: heap-vs-scan must
-// select bit-identical deployments and grid-vs-full must produce
+// select bit-identical deployments, sharded-vs-unsharded CMA must produce
 // bit-identical node trajectories, delivery counters, and per-reason drop
-// counters, or the bench exits non-zero.
+// counters, and the tracked δ must equal the full sweep, or the bench
+// exits non-zero.  (The bus and δ oracles proper live in tests/oracle.)
 //
 // Flags: --quick (CI-sized sweep), --out PATH (default BENCH_perf.json),
 // --check BASELINE.json (compare counters + latency percentiles),
@@ -301,11 +301,9 @@ std::unique_ptr<net::LinkModel> make_link(const std::string& model,
 }
 
 Record run_cma(const field::TimeVaryingField& env, std::size_t n,
-               const std::string& model, net::DeliveryMode mode,
-               std::size_t slots, std::vector<geo::Vec2>& positions_out) {
+               const std::string& model, std::size_t slots) {
   Record rec;
-  rec.id = "cma.n" + std::to_string(n) + "." + model + "." +
-           (mode == net::DeliveryMode::kGrid ? "grid" : "full");
+  rec.id = "cma.n" + std::to_string(n) + "." + model + ".grid";
 
   core::CmaConfig cfg;  // Rc = 10, Rs = 5, v = 1 m/min, beta = 2.
   cfg.rc = bench::kRc * 1.0001;  // Keep the pitch grids connected.
@@ -315,13 +313,11 @@ Record run_cma(const field::TimeVaryingField& env, std::size_t n,
                               .positions,
                           cfg, trace::minutes(10, 0));
   sim.set_link_model(make_link(model, cfg.rc));
-  sim.set_delivery_mode(mode);
 
   obs::registry().reset();
   const double t0 = now_ms();
   sim.run(slots);
   rec.wall_ms = now_ms() - t0;
-  positions_out = sim.positions();
 
   for (const char* name :
        {"net.bus.transmit_attempts", "net.bus.deliveries",
@@ -336,11 +332,9 @@ Record run_cma(const field::TimeVaryingField& env, std::size_t n,
       "attempts_per_slot",
       static_cast<double>(cval("net.bus.transmit_attempts")) /
           static_cast<double>(slots));
-  if (mode == net::DeliveryMode::kGrid) {
-    rec.derived.emplace_back(
-        "cells_probed_mean",
-        obs::registry().histogram("net.bus.cells_probed").mean());
-  }
+  rec.derived.emplace_back(
+      "cells_probed_mean",
+      obs::registry().histogram("net.bus.cells_probed").mean());
   return rec;
 }
 
@@ -406,8 +400,6 @@ Record run_cma_sharded(const field::TimeVaryingField& env,
         "net.bus.drops_total", "net.bus.drop.dead_sender",
         "net.bus.drop.dead_receiver", "net.bus.drop.out_of_range",
         "net.bus.drop.link_loss_draw", "net.bus.drop.ttl_expired",
-        "net.bus.beacon_delta_sent", "net.bus.beacon_full_sent",
-        "net.bus.beacon_delta_hits", "net.bus.beacon_payload_entries",
         "core.cma.shard.migrations", "core.cma.shard.ghost_exchanged",
         "core.cma.shard.match_pairs"}) {
     rec.counters.emplace_back(name, cval(name));
@@ -432,14 +424,11 @@ Record run_cma_sharded(const field::TimeVaryingField& env,
 
 Record run_delta_eval(const field::Field& frame,
                       const std::vector<geo::Vec2>& positions,
-                      std::size_t resolution, core::DeltaEngine engine,
-                      double& delta_out) {
+                      std::size_t resolution, double& delta_out) {
   Record rec;
-  rec.id = "delta.res" + std::to_string(resolution) + "." +
-           (engine == core::DeltaEngine::kRaster ? "raster" : "walk");
+  rec.id = "delta.res" + std::to_string(resolution) + ".raster";
 
   core::DeltaMetric metric(bench::kRegion, resolution);
-  metric.set_engine(engine);
 
   obs::registry().reset();
   const double t0 = now_ms();
@@ -910,9 +899,7 @@ void write_json(std::ostream& out, const std::string& mode,
   out << "    \"ccache\": \"unknown\",\n";
 #endif
   out << "    \"engines\": {\n";
-  out << "      \"fra_selection\": \"heap\",\n";
-  out << "      \"bus_delivery\": \"grid\",\n";
-  out << "      \"delta_point_location\": \"raster\"\n";
+  out << "      \"fra_selection\": \"heap\"\n";
   out << "    }\n";
   out << "  },\n";
   // Multiplicative tolerance bands for the latency gate, stored with the
@@ -1198,53 +1185,14 @@ int main(int argc, char** argv) {
         heap.wall_ms);
   }
 
-  // CMA: grid vs full per link model — same trajectories, same delivery
-  // counters, fewer transmit attempts.
+  // CMA per link model on the grid-pruned bus.
   for (const std::size_t n : cma_ns) {
     for (const std::string model : {"disk", "distloss", "gilbert"}) {
-      std::vector<geo::Vec2> grid_pos, full_pos;
-      const Record grid = timed_repeat(repeats, [&] {
-        return run_cma(recorded, n, model, net::DeliveryMode::kGrid, slots,
-                       grid_pos);
-      });
+      const Record grid = timed_repeat(
+          repeats, [&] { return run_cma(recorded, n, model, slots); });
       records.push_back(grid);
-      const Record full = timed_repeat(repeats, [&] {
-        return run_cma(recorded, n, model, net::DeliveryMode::kFull, slots,
-                       full_pos);
-      });
-      records.push_back(full);
-      if (!same_positions(grid_pos, full_pos)) {
-        std::fprintf(stderr,
-                     "EQUIVALENCE FAILURE cma.n%zu.%s: grid and full "
-                     "delivery produced different trajectories\n",
-                     n, model.c_str());
-        ++failures;
-      }
-      for (const char* name : {"net.bus.deliveries",
-                               "net.bus.delivery_failures",
-                               "net.bus.messages_sent",
-                               "net.bus.drops_total",
-                               "net.bus.drop.dead_sender",
-                               "net.bus.drop.dead_receiver",
-                               "net.bus.drop.out_of_range",
-                               "net.bus.drop.link_loss_draw",
-                               "net.bus.drop.ttl_expired"}) {
-        if (grid.counter(name) != full.counter(name)) {
-          std::fprintf(stderr,
-                       "EQUIVALENCE FAILURE cma.n%zu.%s: %s differs "
-                       "(grid %llu vs full %llu)\n",
-                       n, model.c_str(), name,
-                       static_cast<unsigned long long>(grid.counter(name)),
-                       static_cast<unsigned long long>(full.counter(name)));
-          ++failures;
-        }
-      }
-      std::printf(
-          "cma n=%-5zu %-8s attempts/slot: full %.0f -> grid %.0f "
-          "(%.1fx), wall %.0f ms -> %.0f ms\n",
-          n, model.c_str(), full.derived[0].second, grid.derived[0].second,
-          ratio(full.derived[0].second, grid.derived[0].second),
-          full.wall_ms, grid.wall_ms);
+      std::printf("cma n=%-5zu %-8s attempts/slot: %.0f, wall %.0f ms\n", n,
+                  model.c_str(), grid.derived[0].second, grid.wall_ms);
     }
   }
 
@@ -1308,11 +1256,7 @@ int main(int argc, char** argv) {
                              "net.bus.drop.dead_receiver",
                              "net.bus.drop.out_of_range",
                              "net.bus.drop.link_loss_draw",
-                             "net.bus.drop.ttl_expired",
-                             "net.bus.beacon_delta_sent",
-                             "net.bus.beacon_full_sent",
-                             "net.bus.beacon_delta_hits",
-                             "net.bus.beacon_payload_entries"}) {
+                             "net.bus.drop.ttl_expired"}) {
       if (sharded.counter(name) != unsharded.counter(name)) {
         std::fprintf(
             stderr,
@@ -1332,45 +1276,21 @@ int main(int argc, char** argv) {
         speedup, unsharded.wall_ms, sharded.wall_ms);
   }
 
-  // Delta evaluation: one FRA deployment, both point-location engines,
-  // bit-identical deltas required.  Resolution 256 keeps the lattice big
-  // enough that the walk engine's per-point locates dominate.
+  // Delta evaluation: one FRA deployment swept at resolution 256.
   {
     core::FraPlanner planner;  // Heap engine, the default.
     const core::Deployment plan = planner.plan(
         frame, core::PlanRequest{bench::kRegion, 200, bench::kRc});
     const std::size_t res = 256;
-    double delta_walk = 0.0;
     double delta_raster = 0.0;
-    const Record walk = timed_repeat(repeats, [&] {
-      return run_delta_eval(frame, plan.positions, res,
-                            core::DeltaEngine::kWalk, delta_walk);
-    });
-    records.push_back(walk);
     const Record raster = timed_repeat(repeats, [&] {
-      return run_delta_eval(frame, plan.positions, res,
-                            core::DeltaEngine::kRaster, delta_raster);
+      return run_delta_eval(frame, plan.positions, res, delta_raster);
     });
     records.push_back(raster);
-    if (delta_walk != delta_raster) {
-      std::fprintf(stderr,
-                   "EQUIVALENCE FAILURE delta.res%zu: walk %.17g vs raster "
-                   "%.17g\n",
-                   res, delta_walk, delta_raster);
-      ++failures;
-    }
-    std::printf(
-        "delta res=%-4zu locates: walk %llu -> raster %llu (%.0fx), "
-        "wall %.1f ms -> %.1f ms\n",
-        res,
-        static_cast<unsigned long long>(
-            walk.counter("geometry.delaunay.locates")),
-        static_cast<unsigned long long>(
-            raster.counter("geometry.delaunay.locates")),
-        ratio(static_cast<double>(walk.counter("geometry.delaunay.locates")),
-              static_cast<double>(
-                  raster.counter("geometry.delaunay.locates"))),
-        walk.wall_ms, raster.wall_ms);
+    std::printf("delta res=%-4zu locates %llu, wall %.1f ms\n", res,
+                static_cast<unsigned long long>(
+                    raster.counter("geometry.delaunay.locates")),
+                raster.wall_ms);
 
     // Cavity-local tracker: the same plan with FraConfig::track_delta set
     // yields the same deployment, and its final tracked value must be

@@ -46,8 +46,6 @@ CmaSimulation::CmaSimulation(const field::TimeVaryingField& environment,
   alive_.assign(positions_.size(), 1);
   alive_count_ = positions_.size();
   known_.resize(positions_.size());
-  prev_beacon_.resize(positions_.size());
-  beacon_cache_.resize(positions_.size());
   if (config.sharding == ShardingMode::kTiles) {
     const double ghost = config.ghost_width > 0.0
                              ? config.ghost_width
@@ -115,10 +113,6 @@ void CmaSimulation::apply_faults(std::size_t slot) {
       bus_.set_alive(i, false);
       known_[i].clear();
       last_forces_[i] = ForceBreakdown{};
-      // A dead radio forgets its beacon history: the first beacon after
-      // a revival is always a full one.
-      prev_beacon_[i].valid = false;
-      beacon_cache_[i].clear();
       CPS_COUNT("core.cma.node_deaths", 1);
     } else {
       if (alive_[i]) continue;
@@ -128,8 +122,6 @@ void CmaSimulation::apply_faults(std::size_t slot) {
       // A revived node rejoins with blank protocol state; neighbours
       // relearn it (and it them) from the next beacon round.
       known_[i].clear();
-      prev_beacon_[i].valid = false;
-      beacon_cache_[i].clear();
       CPS_COUNT("core.cma.node_revivals", 1);
     }
   }
@@ -140,13 +132,9 @@ std::vector<std::vector<NeighborInfo>> CmaSimulation::refresh_neighbor_tables(
     std::size_t slot) {
   const std::size_t n = positions_.size();
   std::vector<std::vector<NeighborInfo>> tables(n);
-  // Delta-compression accounting (Message::delta) runs only while the
-  // registry is armed: it feeds counters, never the trajectory.
-  const bool account = obs::enabled();
   const auto fold_node = [&](std::size_t i) {
     if (!alive_[i]) {
       known_[i].clear();
-      beacon_cache_[i].clear();
       return;
     }
     // Age out entries first (an entry from slot s is valid through slot
@@ -160,42 +148,9 @@ std::vector<std::vector<NeighborInfo>> CmaSimulation::refresh_neighbor_tables(
           return slot - k.last_seen >= config_.neighbor_ttl;
         });
     net::count_drops(net::DropReason::kTtlExpired, aged_out);
-    auto& cache = beacon_cache_[i];
-    if (account && !cache.empty()) {
-      // Entries that long lost beacon continuity can never hit again
-      // (hits need the stamp of the sender's *previous* beacon slot).
-      std::erase_if(cache, [&](const auto& e) {
-        return e.second + 8 <= slot;
-      });
-    }
     for (const auto& delivery : bus_.inbox(i)) {
       if (delivery.message.kind != Message::Kind::kBeacon) continue;
-      if (account) {
-        CPS_COUNT("net.bus.beacon_rx", 1);
-        std::size_t* stamp = nullptr;
-        for (auto& e : cache) {
-          if (e.first == delivery.from) {
-            stamp = &e.second;
-            break;
-          }
-        }
-        // A hit means this receiver already holds the state the delta
-        // refers to: the payload entry was redundant.  Misses (first
-        // contact, or the prev beacon was lost here) still need the
-        // carried state — the repair path that keeps the scheme safe
-        // under loss and death.
-        if (delivery.message.delta && stamp != nullptr &&
-            *stamp == delivery.message.prev_slot) {
-          CPS_COUNT("net.bus.beacon_delta_hits", 1);
-        } else {
-          CPS_COUNT("net.bus.beacon_payload_entries", 1);
-        }
-        if (stamp != nullptr) {
-          *stamp = slot;
-        } else {
-          cache.emplace_back(delivery.from, slot);
-        }
-      }
+      CPS_COUNT("net.bus.beacon_rx", 1);
       const NeighborInfo info{delivery.message.position,
                               delivery.message.gaussian_abs};
       bool found = false;
@@ -299,22 +254,6 @@ void CmaSimulation::step() {
       beacon.kind = Message::Kind::kBeacon;
       beacon.position = positions_[i];
       beacon.gaussian_abs = gaussian_abs[i];
-      // Delta-compression flag: unchanged state since the previous
-      // beacon.  The state is still carried (accounting only, see
-      // Message::delta), so the scheme is mode- and loss-safe by
-      // construction; bitwise equality keeps the flag deterministic.
-      const BeaconEcho& prev = prev_beacon_[i];
-      beacon.delta = prev.valid && prev.position.x == positions_[i].x &&
-                     prev.position.y == positions_[i].y &&
-                     prev.gaussian_abs == gaussian_abs[i];
-      beacon.prev_slot = prev.slot;
-      if (beacon.delta) {
-        CPS_COUNT("net.bus.beacon_delta_sent", 1);
-      } else {
-        CPS_COUNT("net.bus.beacon_full_sent", 1);
-      }
-      prev_beacon_[i] =
-          BeaconEcho{positions_[i], gaussian_abs[i], steps_run_, true};
       bus_.broadcast(i, std::move(beacon));
     }
     deliver_round();

@@ -62,8 +62,8 @@ enum class LcmMode {
 /// How step() schedules the slot's work over the region.
 enum class ShardingMode {
   /// The seed path, compiled in as the equivalence oracle (the
-  /// selection_engine / DeltaEngine precedent): global parallel maps per
-  /// phase, bus delivery via MessageBus::step().
+  /// selection_engine precedent): global parallel maps per phase, bus
+  /// delivery via MessageBus::step().
   kOff,
   /// Spatial sharding (cma_sharding.hpp): tiles of side >= max(Rs, Rc)
   /// own their nodes plus a ghost ring; each tile runs
@@ -151,13 +151,6 @@ class CmaSimulation {
   /// first step() for a fully reproducible run.
   void set_link_model(std::unique_ptr<net::LinkModel> link) {
     bus_.set_link(std::move(link));
-  }
-
-  /// Selects the bus's receiver-enumeration strategy (delivery is
-  /// bit-identical either way; kFull is the equivalence oracle, kGrid the
-  /// default O(N * avg_degree) path — see net::DeliveryMode).
-  void set_delivery_mode(net::DeliveryMode mode) noexcept {
-    bus_.set_delivery_mode(mode);
   }
 
   /// Advances one slot (dt minutes).
@@ -279,14 +272,6 @@ class CmaSimulation {
     /// copy per broadcast instead of one per delivery — the dominant
     /// allocation churn of the bus at production degree.
     std::shared_ptr<const std::vector<NeighborInfo>> table;
-    /// Beacon: (position, gaussian_abs) are unchanged since the sender's
-    /// previous beacon, sent in slot prev_slot.  Delta-compression
-    /// accounting only — the state is still carried, so trajectories are
-    /// unaffected; a receiver whose decompression cache holds the
-    /// prev_slot beacon would not have needed the payload entry (counted
-    /// as net.bus.beacon_delta_hits vs beacon_payload_entries).
-    bool delta = false;
-    std::size_t prev_slot = 0;
   };
 
   void clamp_to_region(geo::Vec2& p) const noexcept;
@@ -340,14 +325,6 @@ class CmaSimulation {
   template <typename Body>
   void for_each_node(Body&& body, std::size_t grain);
 
-  /// Last beacon each node sent, for the delta-compression flag.
-  struct BeaconEcho {
-    geo::Vec2 position;
-    double gaussian_abs = 0.0;
-    std::size_t slot = 0;
-    bool valid = false;
-  };
-
   const field::TimeVaryingField* environment_;
   num::Rect region_;
   CmaConfig config_;
@@ -368,12 +345,6 @@ class CmaSimulation {
   std::vector<std::vector<KnownNeighbor>> known_;
   /// Tile decomposition; non-null iff config.sharding == kTiles.
   std::unique_ptr<ShardGrid> shard_;
-  std::vector<BeaconEcho> prev_beacon_;
-  /// Per-receiver link-layer decompression cache: (sender, slot its last
-  /// beacon arrived in).  Accounting only (see Message::delta); pruned of
-  /// stale entries as beacons fold in.
-  std::vector<std::vector<std::pair<net::NodeId, std::size_t>>>
-      beacon_cache_;
 };
 
 }  // namespace cps::core

@@ -1,60 +1,20 @@
 #include "core/delta.hpp"
 
 #include "core/delta_detail.hpp"
-#include "core/delta_incremental.hpp"
 
-#include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <list>
 #include <mutex>
 #include <stdexcept>
 #include <vector>
 
-#include "geometry/predicates.hpp"
 #include "obs/obs.hpp"
 #include "parallel/simd.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace cps::core {
-namespace {
-
-// Row-sweep reduction used by both point-location engines.  While the
-// telemetry timeline is armed the chunk layout is pinned at every thread
-// count (parallel_reduce_chunked) so the annotated δ, the walk-hint
-// counters, and therefore the timeline JSONL are bit-identical across
-// --threads values; disarmed runs keep parallel_reduce's serial shortcut,
-// bit-identical to the original serial evaluation.
-template <typename Map>
-double reduce_rows(std::size_t n, Map&& map) {
-  const auto combine = [](double a, double b) { return a + b; };
-  if (obs::timeline().armed()) {
-    return par::parallel_reduce_chunked(n, 0.0, std::forward<Map>(map),
-                                        combine, /*grain=*/4);
-  }
-  return par::parallel_reduce(n, 0.0, std::forward<Map>(map), combine,
-                              /*grain=*/4);
-}
-
-double interpolate_in(const geo::Delaunay& dt, int tri, geo::Vec2 p) {
-  const auto& t = dt.triangle(tri);
-  return geo::interpolate_linear(dt.triangle_geometry(tri),
-                                 dt.vertex(t.v[0]).z, dt.vertex(t.v[1]).z,
-                                 dt.vertex(t.v[2]).z, p);
-}
-
-// RowSpan, TriangleSoA, strictly_inside, and the span-emission guard
-// formulas moved to core/delta_detail.hpp so the incremental engine shares
-// the raster's exact arithmetic (the bit-identity contract).
-using detail::RowSpan;
-using detail::TriangleSoA;
-using detail::strictly_inside;
-
-}  // namespace
-
 struct DeltaMetric::RefCache {
   using Key = std::uint64_t;
   struct Entry {
@@ -116,7 +76,6 @@ DeltaMetric& DeltaMetric::operator=(DeltaMetric&&) noexcept = default;
 DeltaMetric::DeltaMetric(const DeltaMetric& other)
     : region_(other.region_),
       resolution_(other.resolution_),
-      engine_(other.engine_),
       cache_(std::make_unique<RefCache>(other.cache_->shards.size())) {
   cache_->capacity = other.cache_->capacity;
 }
@@ -125,7 +84,6 @@ DeltaMetric& DeltaMetric::operator=(const DeltaMetric& other) {
   if (this == &other) return *this;
   region_ = other.region_;
   resolution_ = other.resolution_;
-  engine_ = other.engine_;
   cache_ = std::make_unique<RefCache>(other.cache_->shards.size());
   cache_->capacity = other.cache_->capacity;
   return *this;
@@ -172,25 +130,27 @@ void DeltaMetric::clear_reference_cache() {
   }
 }
 
-std::shared_ptr<const std::vector<double>>
-DeltaMetric::cached_reference_lattice(const field::Field& reference,
-                                      const num::MidpointLattice& lat) const {
-  if (cache_->capacity == 0) return nullptr;
+std::shared_ptr<const std::vector<double>> DeltaMetric::reference_lattice(
+    const field::Field& reference) const {
+  const bool caching = cache_->capacity > 0;
   const RefCache::Key key = RefCache::key_for(reference);
   RefCache::Shard& shard = cache_->shard_for(key);
-  {
-    const std::lock_guard<std::mutex> lock(shard.mutex);
-    for (auto it = shard.entries.begin(); it != shard.entries.end(); ++it) {
-      if (it->key == key) {
-        shard.entries.splice(shard.entries.begin(), shard.entries, it);
-        CPS_COUNT("core.delta.ref_cache_hits", 1);
-        return shard.entries.front().rows;
+  if (caching) {
+    {
+      const std::lock_guard<std::mutex> lock(shard.mutex);
+      for (auto it = shard.entries.begin(); it != shard.entries.end(); ++it) {
+        if (it->key == key) {
+          shard.entries.splice(shard.entries.begin(), shard.entries, it);
+          CPS_COUNT("core.delta.ref_cache_hits", 1);
+          return shard.entries.front().rows;
+        }
       }
     }
+    CPS_COUNT("core.delta.ref_cache_misses", 1);
   }
-  CPS_COUNT("core.delta.ref_cache_misses", 1);
   // Fill outside the lock: row-parallel, each row written by exactly one
   // chunk, so the buffer's contents are thread-count independent.
+  const num::MidpointLattice lat(region_, resolution_, resolution_);
   auto rows = std::make_shared<std::vector<double>>(resolution_ * resolution_);
   par::parallel_for_chunks(
       resolution_,
@@ -202,6 +162,7 @@ DeltaMetric::cached_reference_lattice(const field::Field& reference,
         }
       },
       /*grain=*/4);
+  if (!caching) return rows;  // A private buffer, shared with no one.
   const std::lock_guard<std::mutex> lock(shard.mutex);
   // A racing fill may have inserted the same key meanwhile; reuse it so
   // every caller shares one buffer.
@@ -219,22 +180,11 @@ DeltaMetric::cached_reference_lattice(const field::Field& reference,
 double DeltaMetric::delta(const field::Field& reference,
                           const geo::Delaunay& dt) const {
   const num::MidpointLattice lat(region_, resolution_, resolution_);
-  double value;
-  if (engine_ == DeltaEngine::kIncremental) {
-    // A stateless call has no event stream to consume: build the tracker
-    // from scratch against this triangulation and read its running total.
-    // This keeps the engine enum total (sweeps can select kIncremental
-    // uniformly) and doubles as the from-scratch oracle entry point; the
-    // savings come from holding an IncrementalDelta across events instead.
-    value = IncrementalDelta(*this, reference, dt).value();
-  } else {
-    const auto cached = cached_reference_lattice(reference, lat);
-    const double* ref_lattice = cached ? cached->data() : nullptr;
-    const double sum = engine_ == DeltaEngine::kRaster
-                           ? delta_raster(reference, dt, lat, ref_lattice)
-                           : delta_walk(reference, dt, lat, ref_lattice);
-    value = sum * lat.hx() * lat.hy();
-  }
+  const auto ref = reference_lattice(reference);
+  const double sum = detail::raster_sweep(
+      dt, region_, lat, ref->data(),
+      [](std::size_t, const detail::SweptRow&) {});
+  const double value = sum * lat.hx() * lat.hy();
   // δ-evaluation boundary for the telemetry timeline: the figure drivers
   // sample δ sparsely (every few slots), so each evaluation gets its own
   // sample carrying the value; counters between two evaluations attribute
@@ -248,197 +198,6 @@ double DeltaMetric::delta(const field::Field& reference,
   }
 #endif
   return value;
-}
-
-double DeltaMetric::delta_walk(const field::Field& reference,
-                               const geo::Delaunay& dt,
-                               const num::MidpointLattice& lat,
-                               const double* ref_lattice) const {
-  // Row sweep with a remembering walk: consecutive point locations walk
-  // from the previous cell's triangle, making each walk O(1) on coherent
-  // rows.  Each chunk threads its own hint and partial sums combine in
-  // ascending chunk order, so any thread count reproduces the same bits.
-  // The reference field is sampled one batched row at a time (or read from
-  // the memoized lattice — same bits either way).
-  const std::span<const double> xs = lat.xs();
-  return reduce_rows(
-      resolution_,
-      [&](std::size_t row_begin, std::size_t row_end) {
-        double s = 0.0;
-        int hint = -1;
-        std::vector<double> row_buf;
-        if (ref_lattice == nullptr) row_buf.resize(resolution_);
-        for (std::size_t j = row_begin; j < row_end; ++j) {
-          const double y = lat.y(j);
-          const double* ref;
-          if (ref_lattice != nullptr) {
-            ref = ref_lattice + j * resolution_;
-          } else {
-            reference.value_row(y, xs, row_buf.data());
-            CPS_COUNT("core.delta.batch_rows", 1);
-            ref = row_buf.data();
-          }
-          for (std::size_t i = 0; i < resolution_; ++i) {
-            const geo::Vec2 p{xs[i], y};
-            hint = dt.locate_from(p, hint);
-            s += std::abs(ref[i] - interpolate_in(dt, hint, p));
-          }
-        }
-        return s;
-      });
-}
-
-double DeltaMetric::delta_raster(const field::Field& reference,
-                                 const geo::Delaunay& dt,
-                                 const num::MidpointLattice& lat,
-                                 const double* ref_lattice) const {
-  // Scan-convert every alive triangle into per-row candidate column spans
-  // once (O(triangles x covered rows) instead of resolution^2 walks), then
-  // sweep each row assigning strictly-interior points from the span
-  // candidates.  Points on an edge or vertex — where closed containment is
-  // ambiguous and locate_from's answer is hint-dependent — fall back to
-  // locate_from seeded with exactly the hint the walk engine would carry
-  // at that point (fast assignments equal the walk result, so the hint
-  // chain replays bit-for-bit), keeping assignments identical to kWalk.
-  const std::span<const double> xs = lat.xs();
-  const auto res = static_cast<long>(resolution_);
-  const std::vector<int> alive = dt.alive_triangles();
-  TriangleSoA soa;
-  soa.build(dt, alive);
-  std::vector<std::vector<RowSpan>> row_spans(resolution_);
-  std::size_t spans_emitted = 0;
-  for (std::size_t slot = 0; slot < alive.size(); ++slot) {
-    const int tid = alive[slot];
-    detail::for_each_covered_range(
-        soa.a(static_cast<std::uint32_t>(slot)),
-        soa.b(static_cast<std::uint32_t>(slot)),
-        soa.c(static_cast<std::uint32_t>(slot)), region_, lat, res,
-        [&](long j, long ilo, long ihi) {
-          row_spans[static_cast<std::size_t>(j)].push_back(
-              RowSpan{tid, static_cast<std::uint32_t>(slot),
-                      static_cast<int>(ilo), static_cast<int>(ihi)});
-          ++spans_emitted;
-        });
-  }
-  for (auto& spans : row_spans) {
-    std::sort(spans.begin(), spans.end(),
-              [](const RowSpan& l, const RowSpan& r) {
-                return l.ilo != r.ilo ? l.ilo < r.ilo : l.tri < r.tri;
-              });
-  }
-  CPS_COUNT("core.delta.raster_spans", spans_emitted);
-
-  return reduce_rows(
-      resolution_,
-      [&](std::size_t row_begin, std::size_t row_end) {
-        double s = 0.0;
-        int hint = -1;
-        std::size_t fast = 0;
-        std::size_t fallback = 0;
-        std::vector<double> row_buf;
-        if (ref_lattice == nullptr) row_buf.resize(resolution_);
-        std::vector<RowSpan> active;
-        std::vector<std::uint32_t> slots(resolution_);
-        std::vector<double> diffs(resolution_);
-        for (std::size_t j = row_begin; j < row_end; ++j) {
-          const double y = lat.y(j);
-          const double* ref;
-          if (ref_lattice != nullptr) {
-            ref = ref_lattice + j * resolution_;
-          } else {
-            reference.value_row(y, xs, row_buf.data());
-            CPS_COUNT("core.delta.batch_rows", 1);
-            ref = row_buf.data();
-          }
-          // Phase 1 — assignment: the span sweep decides each point's
-          // triangle (SoA slot), threading the same hint chain as before
-          // so fallback walks replay bit-for-bit.
-          const auto& spans = row_spans[j];
-          std::size_t next = 0;
-          active.clear();
-          for (std::size_t i = 0; i < resolution_; ++i) {
-            const int col = static_cast<int>(i);
-            while (next < spans.size() && spans[next].ilo <= col) {
-              active.push_back(spans[next++]);
-            }
-            const geo::Vec2 p{xs[i], y};
-            int assigned = -1;
-            std::uint32_t slot = 0;
-            for (std::size_t k = 0; k < active.size();) {
-              if (active[k].ihi < col) {
-                active[k] = active.back();
-                active.pop_back();
-                continue;
-              }
-              if (strictly_inside(soa, active[k].slot, p)) {
-                assigned = active[k].tri;
-                slot = active[k].slot;
-                break;
-              }
-              ++k;
-            }
-            if (assigned < 0) {
-              assigned = dt.locate_from(p, hint);
-              slot = soa.slot_of[static_cast<std::size_t>(assigned)];
-              ++fallback;
-            } else {
-              ++fast;
-            }
-            hint = assigned;
-            slots[i] = slot;
-          }
-          // Phase 2 — interpolation: interpolate_linear's exact
-          // expression (barycentric via orient2d_value over the hoisted
-          // denominator) gathered from the SoA mirror; element-wise, so
-          // it vectorizes.  The degenerate-denominator guard replays the
-          // scalar path's all-zero-weights result (never taken for a
-          // Delaunay triangulation, which stores no degenerate
-          // triangles).
-          CPS_SIMD
-          for (std::size_t i = 0; i < resolution_; ++i) {
-            const std::uint32_t t = slots[i];
-            const double px = xs[i];
-            const double total = soa.total[t];
-            const double w0 = ((soa.bx[t] - px) * (soa.cy[t] - y) -
-                               (soa.by[t] - y) * (soa.cx[t] - px)) /
-                              total;
-            const double w1 = ((px - soa.ax[t]) * (soa.cy[t] - soa.ay[t]) -
-                               (y - soa.ay[t]) * (soa.cx[t] - soa.ax[t])) /
-                              total;
-            const double w2 = 1.0 - w0 - w1;
-            const double z =
-                w0 * soa.za[t] + w1 * soa.zb[t] + w2 * soa.zc[t];
-            diffs[i] = std::abs(ref[i] - (total == 0.0 ? 0.0 : z));
-          }
-          // Phase 3 — accumulation, kept serial in point order: the sum's
-          // rounding sequence is part of the bit-identity contract.
-          for (std::size_t i = 0; i < resolution_; ++i) s += diffs[i];
-        }
-        CPS_COUNT("core.delta.raster_fast_assigns", fast);
-        CPS_COUNT("core.delta.raster_fallback_locates", fallback);
-        return s;
-      });
-}
-
-std::shared_ptr<const std::vector<double>> DeltaMetric::reference_lattice(
-    const field::Field& reference) const {
-  const num::MidpointLattice lat(region_, resolution_, resolution_);
-  if (auto cached = cached_reference_lattice(reference, lat)) return cached;
-  // Caching disabled: build a private buffer with the same row-batched
-  // sampling (same bits; the incremental engine needs the lattice either
-  // way, it just doesn't get shared).
-  auto rows = std::make_shared<std::vector<double>>(resolution_ * resolution_);
-  par::parallel_for_chunks(
-      resolution_,
-      [&](std::size_t row_begin, std::size_t row_end) {
-        for (std::size_t j = row_begin; j < row_end; ++j) {
-          reference.value_row(lat.y(j), lat.xs(),
-                              rows->data() + j * resolution_);
-          CPS_COUNT("core.delta.batch_rows", 1);
-        }
-      },
-      /*grain=*/4);
-  return rows;
 }
 
 double DeltaMetric::delta_from_samples(const field::Field& reference,

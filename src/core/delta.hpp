@@ -18,28 +18,12 @@
 
 namespace cps::core {
 
-/// How delta() assigns evaluation-lattice points to triangles.
-///
-/// kRaster (default) scan-converts each alive triangle into lattice-row
-/// spans once, assigns strictly-interior points directly from the span
-/// candidates, and falls back to the remembering walk — seeded with the
-/// exact hint the walk engine would have at that point — for points on
-/// edges or vertices.  A strictly interior point has a unique containing
-/// triangle and locate_from returns closed containment for any hint, so
-/// assignments (and the accumulated delta) are bit-identical to kWalk.
-/// kWalk runs locate_from on every lattice point and stays compiled in as
-/// the equivalence oracle, mirroring FraConfig::selection_engine.
-///
-/// kIncremental evaluates through core/delta_incremental.hpp's stateful
-/// tracker: delta() builds the tracker from scratch (bit-identical to
-/// kRaster by the oracle protocol, DESIGN.md §13); the O(changed area)
-/// savings come from holding an IncrementalDelta across triangulation
-/// events — FRA's refinement loop and CMA's per-slot trajectory do.
-enum class DeltaEngine { kWalk, kRaster, kIncremental };
-
 /// Evaluates delta by midpoint quadrature on a fixed evaluation grid.
 /// The paper evaluates on the sqrt(A) x sqrt(A) lattice (100 x 100 for the
 /// GreenOrbs window); `resolution` is that lattice density per axis.
+/// delta() runs the raster sweep (core/delta_detail.hpp); to follow a
+/// triangulation through events at O(changed area) each, hold an
+/// IncrementalDelta (core/delta_incremental.hpp) instead.
 class DeltaMetric {
  public:
   /// Reference-lattice LRU entries held by default; one entry is
@@ -50,8 +34,8 @@ class DeltaMetric {
   DeltaMetric(const num::Rect& region, std::size_t resolution = 100);
   ~DeltaMetric();
 
-  /// Copies share nothing: the copy starts with the same configuration
-  /// (engine, cache capacity) but an empty reference cache.
+  /// Copies share nothing: the copy starts with the same cache
+  /// configuration but an empty reference cache.
   DeltaMetric(const DeltaMetric& other);
   DeltaMetric& operator=(const DeltaMetric& other);
   DeltaMetric(DeltaMetric&&) noexcept;
@@ -59,9 +43,6 @@ class DeltaMetric {
 
   const num::Rect& region() const noexcept { return region_; }
   std::size_t resolution() const noexcept { return resolution_; }
-
-  DeltaEngine engine() const noexcept { return engine_; }
-  void set_engine(DeltaEngine engine) noexcept { engine_ = engine; }
 
   /// Memoization of the reference field's midpoint lattice, keyed by the
   /// field's content_key(): sweeps that evaluate many deployments against
@@ -98,8 +79,10 @@ class DeltaMetric {
   /// The reference field sampled over this metric's midpoint lattice
   /// (row-major, resolution² doubles) — served from the reference cache
   /// when enabled, built fresh otherwise; the same bits value_row
-  /// produces either way.  The incremental engine keeps one of these
-  /// pinned for its running |f - DT| folds.
+  /// produces either way.  delta() reads the reference through this, and
+  /// the incremental engine keeps one pinned for its running |f - DT|
+  /// folds.  The shared_ptr pins the buffer against concurrent LRU
+  /// eviction.
   std::shared_ptr<const std::vector<double>> reference_lattice(
       const field::Field& reference) const;
 
@@ -131,21 +114,8 @@ class DeltaMetric {
  private:
   struct RefCache;
 
-  double delta_walk(const field::Field& reference, const geo::Delaunay& dt,
-                    const num::MidpointLattice& lat,
-                    const double* ref_lattice) const;
-  double delta_raster(const field::Field& reference, const geo::Delaunay& dt,
-                      const num::MidpointLattice& lat,
-                      const double* ref_lattice) const;
-  /// Cache lookup/fill; returns null when caching is off (the caller then
-  /// samples the reference row by row).  The returned buffer is pinned by
-  /// the shared_ptr against concurrent LRU eviction.
-  std::shared_ptr<const std::vector<double>> cached_reference_lattice(
-      const field::Field& reference, const num::MidpointLattice& lat) const;
-
   num::Rect region_;
   std::size_t resolution_;
-  DeltaEngine engine_ = DeltaEngine::kRaster;
   std::unique_ptr<RefCache> cache_;
 };
 

@@ -7,7 +7,6 @@
 
 #include "core/delta_detail.hpp"
 #include "obs/obs.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace cps::core {
 
@@ -36,8 +35,8 @@ void IncrementalDelta::refold_chunk(std::size_t c) {
       std::min(begin + chunk_rows_ * res_, res_ * res_);
   // Serial point-order fold of |ref - DT|: the rounding sequence is the
   // bit-identity contract (per-point deltas do not recompose under
-  // re-association), and std::abs of the stored phase-2 value is exact,
-  // so folding from interp_ reproduces the raster's diff sum bitwise.
+  // re-association), and this is the sweep's own fold over the same
+  // stored DT values, so it reproduces the sweep's chunk sum bitwise.
   const double* ref = ref_rows_->data();
   double s = 0.0;
   for (std::size_t k = begin; k < end; ++k) {
@@ -47,102 +46,33 @@ void IncrementalDelta::refold_chunk(std::size_t c) {
 }
 
 void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
-  // Capture the reduce_rows chunk layout: grain-4 row chunks whenever the
-  // armed timeline pins the layout or the pool would split the sweep, the
-  // single serial chain otherwise (core/delta.cpp's reduce_rows).
-  chunked_ = obs::timeline().armed() || par::thread_count() > 1;
-  chunk_rows_ = chunked_ ? 4 : res_;
+  // Capture the sweep's chunk layout: the hint chains and partial sums
+  // below are only delta()'s while it stays the same (rebase otherwise).
+  chunk_rows_ = detail::chunk_rows(res_);
   const std::size_t n = res_ * res_;
   const std::size_t chunks = (res_ + chunk_rows_ - 1) / chunk_rows_;
-  assign_.assign(n, -1);
-  strict_.assign(n, 0);
-  interp_.assign(n, 0.0);
+  assign_.resize(n);
+  strict_.resize(n);
+  interp_.resize(n);
   chunk_sums_.assign(chunks, 0.0);
-  fallback_.clear();
   point_epoch_.assign(n, 0);
   row_epoch_.assign(res_, 0);
   chunk_epoch_.assign(chunks, 0);
   epoch_ = 0;
   dirty_points_.clear();
 
-  // Full sweep, replaying delta_raster exactly: span emission, per-row
-  // (ilo, tri) span order, strict fast assignment, hint-chained fallback
-  // walks, phase-2 interpolation — but recording per-point state instead
-  // of folding it away.
-  const auto res = static_cast<long>(res_);
-  const std::vector<int> alive = dt.alive_triangles();
-  detail::TriangleSoA soa;
-  soa.build(dt, alive);
-  std::vector<std::vector<detail::RowSpan>> row_spans(res_);
-  for (std::size_t slot = 0; slot < alive.size(); ++slot) {
-    const int tid = alive[slot];
-    detail::for_each_covered_range(
-        soa.a(static_cast<std::uint32_t>(slot)),
-        soa.b(static_cast<std::uint32_t>(slot)),
-        soa.c(static_cast<std::uint32_t>(slot)), region_, lat_, res,
-        [&](long j, long ilo, long ihi) {
-          row_spans[static_cast<std::size_t>(j)].push_back(
-              detail::RowSpan{tid, static_cast<std::uint32_t>(slot),
-                              static_cast<int>(ilo), static_cast<int>(ihi)});
-        });
-  }
-  for (auto& spans : row_spans) {
-    std::sort(spans.begin(), spans.end(),
-              [](const detail::RowSpan& l, const detail::RowSpan& r) {
-                return l.ilo != r.ilo ? l.ilo < r.ilo : l.tri < r.tri;
-              });
-  }
-
-  const std::span<const double> xs = lat_.xs();
-  std::vector<detail::RowSpan> active;
-  for (std::size_t row_begin = 0; row_begin < res_;
-       row_begin += chunk_rows_) {
-    const std::size_t row_end = std::min(row_begin + chunk_rows_, res_);
-    int hint = -1;
-    for (std::size_t j = row_begin; j < row_end; ++j) {
-      const double y = lat_.y(j);
-      const auto& spans = row_spans[j];
-      std::size_t next = 0;
-      active.clear();
-      for (std::size_t i = 0; i < res_; ++i) {
-        const std::size_t k = j * res_ + i;
-        const int col = static_cast<int>(i);
-        while (next < spans.size() && spans[next].ilo <= col) {
-          active.push_back(spans[next++]);
-        }
-        const geo::Vec2 p{xs[i], y};
-        int assigned = -1;
-        std::uint32_t slot = 0;
-        for (std::size_t w = 0; w < active.size();) {
-          if (active[w].ihi < col) {
-            active[w] = active.back();
-            active.pop_back();
-            continue;
-          }
-          if (detail::strictly_inside(soa, active[w].slot, p)) {
-            assigned = active[w].tri;
-            slot = active[w].slot;
-            break;
-          }
-          ++w;
-        }
-        if (assigned < 0) {
-          assigned = dt.locate_from(p, hint);
-          slot = soa.slot_of[static_cast<std::size_t>(assigned)];
-          strict_[k] = 0;
-          fallback_.push_back(static_cast<std::uint32_t>(k));
-        } else {
-          strict_[k] = 1;
-        }
-        hint = assigned;
-        assign_[k] = assigned;
-        interp_[k] = detail::interpolate_point(
-            soa.ax[slot], soa.ay[slot], soa.bx[slot], soa.by[slot],
-            soa.cx[slot], soa.cy[slot], soa.za[slot], soa.zb[slot],
-            soa.zc[slot], soa.total[slot], p.x, y);
-      }
-    }
-    refold_chunk(row_begin / chunk_rows_);
+  detail::raster_sweep(
+      dt, region_, lat_, ref_rows_->data(),
+      [&](std::size_t j, const detail::SweptRow& row) {
+        const std::size_t base = j * res_;
+        std::copy_n(row.tri, res_, assign_.begin() + base);
+        std::copy_n(row.strict, res_, strict_.begin() + base);
+        std::copy_n(row.interp, res_, interp_.begin() + base);
+      });
+  for (std::size_t c = 0; c < chunks; ++c) refold_chunk(c);
+  fallback_.clear();
+  for (std::size_t k = 0; k < n; ++k) {
+    if (strict_[k] == 0) fallback_.push_back(static_cast<std::uint32_t>(k));
   }
   ++stats_.rebuilds;
   CPS_COUNT("core.delta.inc_rebuilds", 1);
@@ -171,8 +101,7 @@ void IncrementalDelta::retarget(const DeltaMetric& metric,
         "IncrementalDelta::retarget: metric lattice mismatch");
   }
   ref_rows_ = metric.reference_lattice(reference);
-  const std::size_t chunks = (res_ + chunk_rows_ - 1) / chunk_rows_;
-  for (std::size_t c = 0; c < chunks; ++c) refold_chunk(c);
+  for (std::size_t c = 0; c < chunk_sums_.size(); ++c) refold_chunk(c);
   ++stats_.retargets;
   CPS_COUNT("core.delta.inc_retargets", 1);
 }

@@ -1,4 +1,4 @@
-// Cavity-local incremental δ (DeltaEngine::kIncremental's engine).
+// Cavity-local incremental δ.
 //
 // The δ metric re-evaluated from scratch is an O(res²) lattice sweep, but
 // a Bowyer–Watson event already reports exactly which triangles changed —
@@ -11,8 +11,10 @@
 //
 // Oracle protocol (DESIGN.md §13): after every applied event, value() is
 // bit-identical to a fresh DeltaMetric::delta() of the same triangulation
-// (kRaster, and therefore kWalk).  That holds because
-//  * assignments are re-derived through the raster's own rules — a stored
+// (and therefore to the remembering-walk oracle in tests/oracle).  The
+// build is the same raster sweep delta() runs (core/delta_detail.hpp),
+// kept per point; after that it holds because
+//  * assignments are re-derived through the sweep's own rules — a stored
 //    strict assignment is kept only while its triangle is alive and still
 //    strictly contains the point (strict containment is unique and
 //    hint-independent), every other dirty point replays locate_from with
@@ -21,13 +23,14 @@
 //  * non-strict (edge/vertex) points are re-walked on EVERY topology
 //    event, dirty region or not — their assignment is hint-dependent, so
 //    staleness is never allowed to accumulate through them;
-//  * per-point contributions are interpolated through the raster phase-2
+//  * per-point contributions are interpolated through the sweep's
 //    expression verbatim (core/delta_detail.hpp), and dirty chunks are
 //    re-folded serially in point order, preserving the sum's rounding
 //    sequence (float addition does not re-associate).
 //
-// The chunk layout (single chunk vs grain-4 row chunks) is captured from
-// the telemetry/thread state at build; rebase() recaptures it.  Change
+// The chunk layout (detail::chunk_rows: one chunk vs 4-row chunks) is
+// captured from the telemetry/thread state at build; rebase() recaptures
+// it.  Change
 // the thread count or arm the timeline mid-stream and value() is
 // comparing against a layout delta() no longer uses — rebase first.
 #pragma once
@@ -64,7 +67,7 @@ class IncrementalDelta {
     std::size_t full_sweep_points = 0;
   };
 
-  /// Builds the tracker with a full raster sweep of `dt` against
+  /// Builds the tracker with the raster sweep of `dt` against
   /// `reference` on `metric`'s lattice.  The reference lattice is pinned
   /// through the metric's cache (shared with other evaluations of the
   /// same field).  The metric itself is not retained.
@@ -134,8 +137,7 @@ class IncrementalDelta {
   std::size_t res_ = 0;
   num::MidpointLattice lat_;
   std::shared_ptr<const std::vector<double>> ref_rows_;
-  bool chunked_ = false;
-  std::size_t chunk_rows_ = 0;  ///< Rows per chunk (res_ when unchunked).
+  std::size_t chunk_rows_ = 0;  ///< detail::chunk_rows at the last build.
 
   std::vector<int> assign_;        ///< Point -> containing triangle id.
   std::vector<char> strict_;       ///< Point strictly inside assign_?

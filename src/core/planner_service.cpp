@@ -7,7 +7,6 @@
 #include <condition_variable>
 #include <deque>
 #include <exception>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -46,13 +45,16 @@ MetricKey metric_key(const num::Rect& region, std::size_t resolution) {
 }
 
 /// Cached what-if substrate: the base deployment's triangulation, the
-/// running cavity-local δ tracker over it, and the node-index -> vertex-id
-/// map the mutation ops address nodes through.  Copyable by design — each
-/// WhatIf job mutates a private copy, never the shared original.
+/// running cavity-local δ tracker over it, the node-index -> vertex-id
+/// map the mutation ops address nodes through, and how many nodes sit on
+/// each vertex (coincident nodes share one; the corner scaffolding counts
+/// as one on each corner).  Copyable by design — each WhatIf job mutates
+/// a private copy, never the shared original.
 struct BaseState {
   geo::Delaunay dt;
   IncrementalDelta inc;
   std::vector<int> vertex_of_node;
+  std::vector<int> nodes_on_vertex;
 };
 
 /// Per-key build slot.  The entry mutex is a leaf lock: the first
@@ -254,11 +256,18 @@ struct PlannerService::Impl {
     const std::shared_ptr<const BaseState> base = base_state_for(job);
     BaseState local(*base);  // Private copy; the shared base never mutates.
     const field::Field& reference = job.field->field();
+    // A vertex another node (or the scaffolding) also sits on stays where
+    // it is: moving one of its nodes only adds a vertex at `to`, and
+    // removing one leaves the surface unchanged.
     switch (job.op) {
       case WhatIfJob::Op::kMove: {
-        const auto report = local.dt.move_vertex(
-            node_vertex(local, job.node), job.to, reference.value(job.to));
-        local.inc.apply(local.dt, report);
+        const int v = node_vertex(local, job.node);
+        const double z = reference.value(job.to);
+        if (shared_vertex(local, v)) {
+          local.inc.apply(local.dt, local.dt.insert(job.to, z));
+        } else {
+          local.inc.apply(local.dt, local.dt.move_vertex(v, job.to, z));
+        }
         break;
       }
       case WhatIfJob::Op::kInsert: {
@@ -267,8 +276,10 @@ struct PlannerService::Impl {
         break;
       }
       case WhatIfJob::Op::kRemove: {
-        const auto report = local.dt.remove(node_vertex(local, job.node));
-        local.inc.apply(local.dt, report);
+        const int v = node_vertex(local, job.node);
+        if (!shared_vertex(local, v)) {
+          local.inc.apply(local.dt, local.dt.remove(v));
+        }
         break;
       }
     }
@@ -280,6 +291,10 @@ struct PlannerService::Impl {
       throw std::invalid_argument("WhatIfJob: node index out of range");
     }
     return state.vertex_of_node[node];
+  }
+
+  static bool shared_vertex(const BaseState& state, int vertex) {
+    return state.nodes_on_vertex[static_cast<std::size_t>(vertex)] > 1;
   }
 
   DeltaMetric& metric_for(const num::Rect& region, std::size_t resolution) {
@@ -323,40 +338,24 @@ struct PlannerService::Impl {
     return entry->state;
   }
 
-  /// Replicates reconstruct_surface (core/reconstruction.cpp) — same
-  /// insertion order, same corner valuation, therefore the same bits —
-  /// while recording each node's vertex id for the mutation ops.
   std::shared_ptr<const BaseState> build_base_state(const WhatIfJob& job) {
     const field::Field& reference = job.field->field();
-    const std::vector<Sample> samples =
-        take_samples(reference, job.base->positions);
-    geo::Delaunay dt(job.region);
     std::vector<int> vertex_of_node;
-    vertex_of_node.reserve(samples.size());
-    for (const auto& s : samples) {
-      vertex_of_node.push_back(dt.insert(s.position, s.z).vertex);
-    }
+    geo::Delaunay dt = reconstruct_surface(
+        take_samples(reference, job.base->positions), job.region, job.policy,
+        &reference, &vertex_of_node);
+    std::vector<int> nodes_on_vertex(dt.vertex_count(), 0);
     for (int corner = 0; corner < geo::Delaunay::kCorners; ++corner) {
-      const geo::Vec2 cp = dt.vertex(corner).pos;
-      if (job.policy == CornerPolicy::kFieldValue) {
-        dt.set_vertex_z(corner, reference.value(cp));
-        continue;
-      }
-      double best = std::numeric_limits<double>::infinity();
-      double z = 0.0;
-      for (const auto& s : samples) {
-        const double d2 = geo::distance_sq(cp, s.position);
-        if (d2 <= best) {
-          best = d2;
-          z = s.z;
-        }
-      }
-      dt.set_vertex_z(corner, z);
+      nodes_on_vertex[static_cast<std::size_t>(corner)] = 1;
+    }
+    for (const int v : vertex_of_node) {
+      ++nodes_on_vertex[static_cast<std::size_t>(v)];
     }
     IncrementalDelta inc(metric_for(job.region, job.resolution), reference,
                          dt);
-    return std::make_shared<const BaseState>(BaseState{
-        std::move(dt), std::move(inc), std::move(vertex_of_node)});
+    return std::make_shared<const BaseState>(
+        BaseState{std::move(dt), std::move(inc), std::move(vertex_of_node),
+                  std::move(nodes_on_vertex)});
   }
 
   Config config;

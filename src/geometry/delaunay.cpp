@@ -136,11 +136,18 @@ int Delaunay::locate(Vec2 p, int hint) const {
   return found;
 }
 
-int Delaunay::locate_from(Vec2 p, int hint) const {
+void Delaunay::require_in_region(Vec2 p) const {
+  if (!std::isfinite(p.x) || !std::isfinite(p.y)) {
+    throw std::invalid_argument("Delaunay::locate: non-finite point");
+  }
   if (p.x < bounds_.x0 - kBoundsTol || p.x > bounds_.x1 + kBoundsTol ||
       p.y < bounds_.y0 - kBoundsTol || p.y > bounds_.y1 + kBoundsTol) {
     throw std::invalid_argument("Delaunay::locate: point outside region");
   }
+}
+
+int Delaunay::locate_from(Vec2 p, int hint) const {
+  require_in_region(p);
   const Vec2 q{std::clamp(p.x, bounds_.x0, bounds_.x1),
                std::clamp(p.y, bounds_.y0, bounds_.y1)};
   int start = hint;
@@ -545,6 +552,7 @@ RemoveResult Delaunay::remove(int vertex) {
 MoveResult Delaunay::move_vertex(int vertex, Vec2 p, double z,
                                  double duplicate_tol) {
   MoveResult result;
+  require_in_region(p);  // Before remove(): a bad target must not half-move.
   const RemoveResult removal = remove(vertex);
   const InsertResult ins = insert(p, z, duplicate_tol);
   result.vertex = ins.vertex;

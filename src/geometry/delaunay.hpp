@@ -112,7 +112,8 @@ class Delaunay {
 
   /// Inserts a sample at p with value z.  Points within `duplicate_tol` of
   /// an existing vertex update that vertex's z instead of inserting.
-  /// Throws std::invalid_argument when p lies outside the region.
+  /// Throws std::invalid_argument when p is non-finite or lies outside the
+  /// region.
   InsertResult insert(Vec2 p, double z, double duplicate_tol = 1e-9);
 
   /// Removes a previously inserted vertex and re-triangulates its star's
@@ -126,7 +127,8 @@ class Delaunay {
   /// remove(vertex) followed by insert(p, z, duplicate_tol), fused into a
   /// single change report whose changed_triangles cover both the old star
   /// and the new cavity (see MoveResult).  Same preconditions as the two
-  /// steps.
+  /// steps; a non-finite or out-of-region `p` throws before anything
+  /// changes.
   MoveResult move_vertex(int vertex, Vec2 p, double z,
                          double duplicate_tol = 1e-9);
 
@@ -163,7 +165,8 @@ class Delaunay {
 
   /// Id of the alive triangle containing p (ties on shared edges resolved
   /// arbitrarily but deterministically).  `hint` accelerates the walk.
-  /// Throws std::invalid_argument when p is outside the region.
+  /// Throws std::invalid_argument when p is non-finite or outside the
+  /// region.
   int locate(Vec2 p, int hint = -1) const;
 
   /// Like locate(), but never reads or updates the shared walk hint:
@@ -196,6 +199,9 @@ class Delaunay {
   int debug_locate_hint() const noexcept { return locate_hint_; }
 
  private:
+  /// Throws std::invalid_argument unless p is finite and inside bounds_
+  /// (within a 1e-9 tolerance).
+  void require_in_region(Vec2 p) const;
   int alloc_triangle();
   void free_triangle(int id);
   bool in_cavity(int tri, Vec2 p) const;

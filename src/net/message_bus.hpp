@@ -14,6 +14,16 @@
 // sweeps.  Nodes can also die and revive mid-run (set_alive, driven by a
 // FaultSchedule): a dead node neither sends nor receives, and messages in
 // flight from a node that dies before delivery are lost with the node.
+//
+// Receivers are enumerated through a par::SpatialHash over the living
+// nodes' positions — rebuilt lazily, at most once per position/alive
+// change — probing only the cells within the link's max_range() of each
+// sender: O(N * avg_degree) link evaluations per slot instead of O(N^2).
+// The LinkModel no-draw contract (link_model.hpp) guarantees the pruned
+// out-of-range receivers would never have consumed randomness, and the
+// candidates are probed in ascending id order, so deliveries, inbox order,
+// drop counters and the RNG stream are exactly those of an all-pairs
+// probe.  tests/oracle holds that all-pairs bus as the reference.
 #pragma once
 
 #include <algorithm>
@@ -38,18 +48,6 @@ struct Delivery {
   NodeId from = 0;
   M message{};
 };
-
-/// How step()/neighbors_of enumerate potential receivers.
-///
-/// kGrid (the default) builds a par::SpatialHash over the living
-/// receivers' positions — rebuilt lazily, at most once per position/alive
-/// change — and probes only the cells within the link's max_range() of
-/// each sender.  Per-slot cost drops from O(N^2) link evaluations to
-/// O(N * avg_degree).  The LinkModel no-draw contract (link_model.hpp)
-/// guarantees the pruned out-of-range probes never consumed randomness,
-/// so deliveries, inbox order, and counters are bit-identical to kFull.
-/// kFull keeps the all-pairs probe compiled in as the equivalence oracle.
-enum class DeliveryMode { kFull, kGrid };
 
 /// Broadcast-only message bus for `M`-typed payloads.
 template <typename M>
@@ -81,10 +79,6 @@ class MessageBus {
     link_ = std::move(link);
     grid_dirty_ = true;  // max_range() may have changed the cell size.
   }
-
-  /// Selects the receiver-enumeration strategy (see DeliveryMode).
-  void set_delivery_mode(DeliveryMode mode) noexcept { mode_ = mode; }
-  DeliveryMode delivery_mode() const noexcept { return mode_; }
 
   /// Updates the position used for range checks of subsequent broadcasts.
   void set_position(NodeId id, geo::Vec2 p) {
@@ -139,22 +133,16 @@ class MessageBus {
 
   /// Delivers all queued broadcasts to in-range living receivers and
   /// clears the queue.  Senders do not receive their own broadcasts.
-  ///
-  /// Under DeliveryMode::kGrid (default) each sender probes only the
-  /// grid cells within link max_range(); deliveries, inbox order, and
-  /// delivery counters are bit-identical to the kFull all-pairs probe
-  /// because pruned receivers never consumed randomness (no-draw
-  /// contract) and candidates are re-sorted into ascending-id order
-  /// before the transmit() draws.
+  /// Each sender probes only the grid cells within link max_range(), in
+  /// ascending receiver id order (see the file comment).
   void step() {
     begin_slot();
-    if (mode_ == DeliveryMode::kGrid) refresh_grid();
+    refresh_grid();
     // Per-reason drop accounting is arithmetic over per-message tallies,
-    // never per-probe: the grid mode skips most dead/out-of-range
-    // receivers without probing them, so counting inside probe() would
-    // make the taxonomy depend on the delivery mode.  With `delivered`
-    // and `lost` tallied per message, the remaining receivers decompose
-    // exactly — identically under kGrid and kFull:
+    // never per-probe: the grid skips most dead/out-of-range receivers
+    // without probing them.  With `delivered` and `lost` tallied per
+    // message, the remaining receivers decompose exactly as an all-pairs
+    // probe would classify them:
     //   dead_receiver = node_count - alive_now          (per message)
     //   out_of_range  = (alive_now - 1) - delivered - lost
     const bool account = obs::enabled();
@@ -167,23 +155,16 @@ class MessageBus {
       }
       delivered_ = 0;
       lost_ = 0;
-      if (mode_ == DeliveryMode::kGrid) {
-        candidates_.clear();
-        const std::size_t cells = grid_->collect_candidates(
-            pending.sent_from, link_->max_range(), candidates_);
-        CPS_HIST("net.bus.cells_probed", cells);
-        // collect_candidates returns ids cell by cell; sorting restores
-        // the ascending-id receiver order of the full probe, which fixes
-        // the RNG draw order (compact grid ids map to ascending NodeIds).
-        std::sort(candidates_.begin(), candidates_.end());
-        for (const std::uint32_t c : candidates_) {
-          probe(pending, grid_ids_[c]);
-        }
-      } else {
-        for (NodeId to = 0; to < positions_.size(); ++to) {
-          if (!alive_[to]) continue;
-          probe(pending, to);
-        }
+      candidates_.clear();
+      const std::size_t cells = grid_->collect_candidates(
+          pending.sent_from, link_->max_range(), candidates_);
+      CPS_HIST("net.bus.cells_probed", cells);
+      // collect_candidates returns ids cell by cell; sorting restores
+      // ascending receiver ids, which fixes the RNG draw order (compact
+      // grid ids map to ascending NodeIds).
+      std::sort(candidates_.begin(), candidates_.end());
+      for (const std::uint32_t c : candidates_) {
+        probe(pending, grid_ids_[c]);
       }
       if (account) {
         count_drops(DropReason::kDeadReceiver,
@@ -205,13 +186,12 @@ class MessageBus {
   /// precisely the ids step() would have delivered-or-lost to, in the
   /// same ascending order.  transmit() is then invoked for exactly the
   /// in-range pairs in the same global (sender broadcast order, receiver
-  /// ascending) sequence as the kFull/kGrid probes; since out-of-range
+  /// ascending) sequence as step()'s probes; since out-of-range
   /// probes never consumed randomness (no-draw contract), the RNG
   /// stream, per-link state, inbox order, and the drop-reason taxonomy
   /// are all bit-identical to step().  transmit_attempts counts only the
   /// in-range probes — the matcher already rejected the rest
-  /// geometrically — so that cost counter (already delivery-mode
-  /// dependent under kGrid vs kFull) shrinks by the out-of-range
+  /// geometrically — so that cost counter shrinks by the out-of-range
   /// fraction.  When the link is draw_free(), transmit() is skipped
   /// entirely: in-range pairs are pre-verified and the draw schedule
   /// being replayed is empty.
@@ -273,26 +253,17 @@ class MessageBus {
   /// Ids of living nodes currently within radio range of `id` (excluding
   /// itself).  An oracle view of the topology — protocol code should
   /// prefer beacon-learned neighbour tables, which see only what the
-  /// channel actually delivered.  Grid-pruned under DeliveryMode::kGrid
-  /// (ascending ids either way).
+  /// channel actually delivered.  Grid-pruned, ascending ids.
   std::vector<NodeId> neighbors_of(NodeId id) const {
     std::vector<NodeId> out;
     const geo::Vec2 p = positions_.at(id);
-    if (mode_ == DeliveryMode::kGrid) {
-      refresh_grid();
-      candidates_.clear();
-      grid_->collect_candidates(p, link_->max_range(), candidates_);
-      std::sort(candidates_.begin(), candidates_.end());
-      for (const std::uint32_t c : candidates_) {
-        const NodeId j = grid_ids_[c];
-        if (j != id && link_->in_range(p, positions_[j])) out.push_back(j);
-      }
-    } else {
-      for (NodeId j = 0; j < positions_.size(); ++j) {
-        if (j != id && alive_[j] && link_->in_range(p, positions_[j])) {
-          out.push_back(j);
-        }
-      }
+    refresh_grid();
+    candidates_.clear();
+    grid_->collect_candidates(p, link_->max_range(), candidates_);
+    std::sort(candidates_.begin(), candidates_.end());
+    for (const std::uint32_t c : candidates_) {
+      const NodeId j = grid_ids_[c];
+      if (j != id && link_->in_range(p, positions_[j])) out.push_back(j);
     }
     return out;
   }
@@ -373,8 +344,7 @@ class MessageBus {
   std::vector<std::size_t> inbox_hw_ =
       std::vector<std::size_t>(inboxes_.size(), 0);
   std::size_t total_broadcasts_ = 0;
-  DeliveryMode mode_ = DeliveryMode::kGrid;
-  // Lazily maintained living-receiver index (kGrid only).  Mutable:
+  // Lazily maintained living-receiver index.  Mutable:
   // neighbors_of is logically const; the bus makes no thread-safety
   // claims, so the cache needs no lock.
   mutable std::vector<NodeId> grid_ids_;          // Living ids, ascending.

@@ -82,9 +82,7 @@ const char* const kEquivalentCounters[] = {
     "net.bus.delivery_failures",   "net.bus.drops_total",
     "net.bus.drop.dead_sender",    "net.bus.drop.dead_receiver",
     "net.bus.drop.out_of_range",   "net.bus.drop.link_loss_draw",
-    "net.bus.drop.ttl_expired",    "net.bus.beacon_delta_sent",
-    "net.bus.beacon_full_sent",    "net.bus.beacon_delta_hits",
-    "net.bus.beacon_payload_entries",
+    "net.bus.drop.ttl_expired",    "net.bus.beacon_rx",
 };
 
 std::map<std::string, std::uint64_t> counter_snapshot() {
@@ -321,42 +319,6 @@ TEST(CmaSharded, NodesMigrateAcrossTilesMidRun) {
   obs::set_enabled(false);
   par::set_thread_count(0);
 }
-
-#if defined(CPS_OBS_ENABLED)
-TEST(CmaSharded, BeaconDeltaCountersReconcile) {
-  // Mode-independent delta accounting: sent flags split the beacon
-  // traffic exactly, and every received beacon is either a delta hit or
-  // a carried payload entry.  A converged run must actually produce
-  // delta hits (stationary nodes re-beacon unchanged state).
-  for (const ShardingMode mode : {ShardingMode::kOff, ShardingMode::kTiles}) {
-    obs::set_enabled(true);
-    obs::registry().reset();
-    const auto env = static_env();
-    CmaConfig cfg = base_config();
-    cfg.sharding = mode;
-    cfg.force_tolerance = 1e9;  // Balanced everywhere: nobody ever moves.
-    CmaSimulation sim(env, kRegion, scatter(30, 83), cfg);
-    sim.run(8);
-    const std::uint64_t delta_sent =
-        obs::counter("net.bus.beacon_delta_sent").value();
-    const std::uint64_t full_sent =
-        obs::counter("net.bus.beacon_full_sent").value();
-    const std::uint64_t hits =
-        obs::counter("net.bus.beacon_delta_hits").value();
-    const std::uint64_t payload =
-        obs::counter("net.bus.beacon_payload_entries").value();
-    const std::uint64_t rx = obs::counter("net.bus.beacon_rx").value();
-    // Beacons are half the broadcasts (the tell round is the other half).
-    EXPECT_EQ(delta_sent + full_sent, sim.total_broadcasts() / 2);
-    EXPECT_EQ(hits + payload, rx);
-    // Slot 0 beacons are all full; every later one is a delta here.
-    EXPECT_EQ(full_sent, 30u);
-    EXPECT_EQ(delta_sent, 30u * 7u);
-    EXPECT_GT(hits, 0u);
-    obs::set_enabled(false);
-  }
-}
-#endif  // CPS_OBS_ENABLED
 
 TEST(CmaSharded, DenseTilesUseHashedMatching) {
   // 300 nodes over 2x2 big tiles puts every tile's candidate count far

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 #include <vector>
 
 #include "numerics/rng.hpp"
@@ -60,6 +62,29 @@ TEST(Delaunay, InsertOutsideThrows) {
   Delaunay dt(kRegion);
   EXPECT_THROW(dt.insert({150.0, 50.0}, 0.0), std::invalid_argument);
   EXPECT_THROW(dt.insert({50.0, -1.0}, 0.0), std::invalid_argument);
+}
+
+TEST(Delaunay, NonFinitePointsRejectedWithoutChange) {
+  // Every comparison with NaN is false, so a bounds check of the form
+  // "outside if p.x < x0 || ..." alone lets (NaN, 5) through to corrupt
+  // the mesh.
+  Delaunay dt(kRegion);
+  dt.insert({20.0, 30.0}, 1.0);
+  dt.insert({70.0, 40.0}, 2.0);
+  const int moving = dt.insert({45.0, 80.0}, 3.0).vertex;
+  const std::size_t triangles = dt.triangle_count();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Vec2 bad : {Vec2{nan, 5.0}, Vec2{5.0, nan}, Vec2{nan, nan},
+                         Vec2{inf, 5.0}, Vec2{5.0, -inf}}) {
+    EXPECT_THROW(dt.insert(bad, 0.0), std::invalid_argument);
+    EXPECT_THROW(dt.locate_from(bad, -1), std::invalid_argument);
+    EXPECT_THROW(dt.move_vertex(moving, bad, 0.0), std::invalid_argument);
+    EXPECT_TRUE(dt.vertex_alive(moving));
+    EXPECT_EQ(dt.triangle_count(), triangles);
+    EXPECT_TRUE(dt.validate_topology());
+    EXPECT_TRUE(dt.is_delaunay());
+  }
 }
 
 TEST(Delaunay, DuplicateInsertUpdatesZ) {

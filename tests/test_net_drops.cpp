@@ -1,7 +1,8 @@
 // Tests for the message drop-reason taxonomy (net/link_model.hpp
 // count_drops + MessageBus per-message accounting + CMA neighbour-table
-// aging): per-reason counters must decompose the aggregate exactly, agree
-// between delivery modes, and line up with the legacy aggregate names.
+// aging): per-reason counters must decompose the aggregate exactly, match
+// the all-pairs oracle bus (tests/oracle) reason by reason, and line up
+// with the legacy aggregate names.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "net/link_model.hpp"
 #include "net/message_bus.hpp"
 #include "obs/obs.hpp"
+#include "oracle/all_pairs_bus.hpp"
 
 namespace cps::net {
 namespace {
@@ -75,9 +77,10 @@ TEST(DropReason, NamesAreStable) {
 
 /// 6 nodes: 0..2 clustered (mutually in range of Rc = 10), 3 far away,
 /// 4 and 5 clustered with each other but out of range of the rest.
-MessageBus<int> make_bus(DeliveryMode mode, double loss) {
-  MessageBus<int> bus(6, std::make_unique<DiskLink>(10.0, loss, 42));
-  bus.set_delivery_mode(mode);
+/// `Bus` is MessageBus<int> or the all-pairs oracle.
+template <typename Bus>
+Bus make_bus(double loss) {
+  Bus bus(6, std::make_unique<DiskLink>(10.0, loss, 42));
   bus.set_position(0, {10.0, 10.0});
   bus.set_position(1, {14.0, 10.0});
   bus.set_position(2, {10.0, 14.0});
@@ -89,8 +92,9 @@ MessageBus<int> make_bus(DeliveryMode mode, double loss) {
 
 // One slot with every reason except ttl_expired represented; the reasons
 // must sum to the aggregate and line up with the legacy counters.
-void run_mixed_slot(DeliveryMode mode) {
-  MessageBus<int> bus = make_bus(mode, /*loss=*/0.5);
+template <typename Bus>
+Bus run_mixed_slot() {
+  Bus bus = make_bus<Bus>(/*loss=*/0.5);
   bus.set_alive(2, false);       // A dead receiver for node 0/1 traffic.
   bus.broadcast(2, 99);          // Dead at broadcast: dead_sender.
   bus.broadcast(0, 1);           // Reaches 1; 2 dead, 3/4/5 out of range.
@@ -98,11 +102,12 @@ void run_mixed_slot(DeliveryMode mode) {
   bus.broadcast(3, 3);           // Isolated: everything out of range.
   bus.set_alive(3, false);       // Dies with its message in flight.
   bus.step();
+  return bus;
 }
 
 TEST(DropCounters, ReasonsDecomposeTotalExactly) {
   ObsScope obs;
-  run_mixed_slot(DeliveryMode::kGrid);
+  run_mixed_slot<MessageBus<int>>();
   const DropCounts c = DropCounts::read();
   // alive_now = 4 (nodes 0, 1, 4, 5); two alive-sender messages from the
   // cluster senders plus... node 3's message died with it.
@@ -116,30 +121,22 @@ TEST(DropCounters, ReasonsDecomposeTotalExactly) {
             c.legacy_dead_broadcasts + 1u);  // +1 died-in-flight.
 }
 
-TEST(DropCounters, GridAndFullModesAgreePerReason) {
-  DropCounts grid{};
-  DropCounts full{};
-  {
-    ObsScope obs;
-    run_mixed_slot(DeliveryMode::kGrid);
-    grid = DropCounts::read();
-  }
-  {
-    ObsScope obs;
-    run_mixed_slot(DeliveryMode::kFull);
-    full = DropCounts::read();
-  }
-  EXPECT_EQ(grid.dead_sender, full.dead_sender);
-  EXPECT_EQ(grid.dead_receiver, full.dead_receiver);
-  EXPECT_EQ(grid.out_of_range, full.out_of_range);
-  EXPECT_EQ(grid.link_loss_draw, full.link_loss_draw);
-  EXPECT_EQ(grid.ttl_expired, full.ttl_expired);
-  EXPECT_EQ(grid.total, full.total);
+TEST(DropCounters, MatchAllPairsOraclePerReason) {
+  ObsScope obs;
+  run_mixed_slot<MessageBus<int>>();
+  const DropCounts bus = DropCounts::read();
+  const oracle::BusDrops want =
+      run_mixed_slot<oracle::AllPairsBus<int>>().drops();
+  EXPECT_EQ(bus.dead_sender, want.dead_sender);
+  EXPECT_EQ(bus.dead_receiver, want.dead_receiver);
+  EXPECT_EQ(bus.out_of_range, want.out_of_range);
+  EXPECT_EQ(bus.link_loss_draw, want.link_loss_draw);
+  EXPECT_EQ(bus.ttl_expired, 0u);
 }
 
 TEST(DropCounters, LossFreeChannelDrawsNothing) {
   ObsScope obs;
-  MessageBus<int> bus = make_bus(DeliveryMode::kGrid, /*loss=*/0.0);
+  auto bus = make_bus<MessageBus<int>>(/*loss=*/0.0);
   for (NodeId from = 0; from < bus.node_count(); ++from) {
     bus.broadcast(from, static_cast<int>(from));
   }

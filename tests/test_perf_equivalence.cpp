@@ -5,27 +5,28 @@
 //    and k from 10 to 2000 on fig5/fig6-style configs — including the
 //    parked-entry affordability protocol and the storm-compaction
 //    (flat-scan / Floyd-rebuild) transitions;
-//  * the grid-pruned MessageBus vs the all-pairs probe, for all three
-//    link models, under mid-run churn, at 1 and 4 worker threads;
+//  * the grid-pruned MessageBus vs the all-pairs oracle bus
+//    (tests/oracle), for all three link models, under moves, deaths and
+//    revivals, at 1-4 worker threads;
 //  * the per-model no-draw pruning contract the grid path relies on;
 //  * a hard-coded golden for SelectionMeasure::kRandom pinning the
 //    incremental free-list to the draw schedule of the original
 //    rebuild-the-pool implementation (seed stability).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/cma.hpp"
 #include "core/fra.hpp"
 #include "field/analytic_fields.hpp"
-#include "field/time_varying.hpp"
-#include "net/fault.hpp"
 #include "net/link_model.hpp"
 #include "net/message_bus.hpp"
+#include "numerics/rng.hpp"
 #include "obs/obs.hpp"
+#include "oracle/all_pairs_bus.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace cps {
@@ -285,91 +286,104 @@ std::unique_ptr<net::LinkModel> make_link(const std::string& model,
       rc, net::GilbertElliottLink::Params{}, seed);
 }
 
-field::StaticTimeField cma_env() {
-  return field::StaticTimeField(std::make_shared<field::AnalyticField>(
-      [](double x, double y) {
-        return 10.0 + 0.05 * x * y / 100.0 + 3.0 * (x > 40 && x < 60) +
-               2.0 * (y > 20 && y < 50);
-      }));
+#if defined(CPS_OBS_ENABLED)
+std::uint64_t cval(const char* name) {
+  return obs::registry().counter(name).value();
 }
+#endif
 
-struct CmaRun {
-  std::vector<geo::Vec2> positions;
-  std::uint64_t deliveries = 0;
-  std::uint64_t failures = 0;
-  std::uint64_t sent = 0;
-};
-
-/// Runs CMA under a PR 3-style churn schedule with the given bus mode and
-/// link model, returning trajectories plus the delivery counters.
-CmaRun run_cma(const std::string& model, net::DeliveryMode mode) {
-  const auto env = cma_env();
-  core::CmaConfig cfg;
-  cfg.rc = kRc * 1.0001;
-  cfg.lcm = core::LcmMode::kPaper;
-  const std::size_t n = 80;
-  core::CmaSimulation sim(
-      env, kRegion, core::GridPlanner::make_grid(kRegion, n).positions, cfg);
-  sim.set_link_model(make_link(model, cfg.rc, /*seed=*/17));
-  sim.set_delivery_mode(mode);
-  sim.set_fault_schedule(
-      net::FaultSchedule::random_deaths(n, 0.3, 2, 15, /*seed=*/5));
-
+/// Drives the grid-pruned bus and the all-pairs oracle (tests/oracle)
+/// through the same seeded slots — moves, deaths and revivals between
+/// slots, broadcasts from dead nodes, deaths with messages in flight —
+/// and requires identical inboxes (order included) every slot, identical
+/// neighbour sets, and identical per-reason drop tallies.  Inbox equality
+/// slot after slot on lossy links is also the RNG-stream check: one draw
+/// more or fewer on either side shifts every later loss.  The final slot
+/// packs every node into one cell, living, so each link draws.
+void expect_bus_matches_oracle(const std::string& model, std::uint64_t seed) {
+  constexpr std::size_t kNodes = 60;
+  constexpr std::size_t kSlots = 30;
+  net::MessageBus<int> bus(kNodes, make_link(model, kRc, seed));
+  oracle::AllPairsBus<int> ref(kNodes, make_link(model, kRc, seed));
+  num::Rng rng(seed);
+  std::vector<geo::Vec2> pos(kNodes);
+  std::vector<char> alive(kNodes, 1);
+  const auto place = [&](std::size_t i, geo::Vec2 p) {
+    pos[i] = p;
+    bus.set_position(i, p);
+    ref.set_position(i, p);
+  };
+  const auto set_alive = [&](std::size_t i, bool a) {
+    alive[i] = a ? 1 : 0;
+    bus.set_alive(i, a);
+    ref.set_alive(i, a);
+  };
+  // A 60 x 60 patch of the region: about 8 in-range neighbours per node.
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    place(i, {rng.uniform(0.0, 60.0), rng.uniform(0.0, 60.0)});
+  }
   obs::set_enabled(true);
   obs::registry().reset();
-  sim.run(25);
-
-  CmaRun out;
-  out.positions = sim.positions();
-  out.deliveries = obs::registry().counter("net.bus.deliveries").value();
-  out.failures =
-      obs::registry().counter("net.bus.delivery_failures").value();
-  out.sent = obs::registry().counter("net.bus.messages_sent").value();
-  return out;
-}
-
-void expect_same_run(const CmaRun& grid, const CmaRun& full) {
-  EXPECT_EQ(grid.deliveries, full.deliveries);
-  EXPECT_EQ(grid.failures, full.failures);
-  EXPECT_EQ(grid.sent, full.sent);
-  ASSERT_EQ(grid.positions.size(), full.positions.size());
-  for (std::size_t i = 0; i < grid.positions.size(); ++i) {
-    EXPECT_EQ(grid.positions[i].x, full.positions[i].x) << "node " << i;
-    EXPECT_EQ(grid.positions[i].y, full.positions[i].y) << "node " << i;
+  for (std::size_t slot = 0; slot <= kSlots; ++slot) {
+    SCOPED_TRACE("slot " + std::to_string(slot));
+    const bool dense = slot == kSlots;
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      if (dense) {
+        place(i, {50.0 + rng.uniform(0.0, 6.0), 50.0 + rng.uniform(0.0, 6.0)});
+        set_alive(i, true);
+        continue;
+      }
+      if (rng.uniform() < 0.06) set_alive(i, !alive[i]);
+      if (rng.uniform() < 0.3) {
+        place(i, {std::clamp(pos[i].x + rng.uniform(-6.0, 6.0), 0.0, 100.0),
+                  std::clamp(pos[i].y + rng.uniform(-6.0, 6.0), 0.0, 100.0)});
+      }
+    }
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      const int message = static_cast<int>(slot * 1000 + i);
+      bus.broadcast(i, message);
+      ref.broadcast(i, message);
+    }
+    // Deaths with messages in flight.
+    for (std::size_t i = 0; i < kNodes && !dense; ++i) {
+      if (alive[i] && rng.uniform() < 0.03) set_alive(i, false);
+    }
+    bus.step();
+    ref.step();
+    for (net::NodeId i = 0; i < kNodes; ++i) {
+      const auto& got = bus.inbox(i);
+      const auto& want = ref.inbox(i);
+      ASSERT_EQ(got.size(), want.size()) << "node " << i;
+      for (std::size_t m = 0; m < got.size(); ++m) {
+        ASSERT_EQ(got[m].from, want[m].from) << "node " << i << " #" << m;
+        ASSERT_EQ(got[m].message, want[m].message) << "node " << i;
+      }
+      ASSERT_EQ(bus.neighbors_of(i), ref.neighbors_of(i)) << "node " << i;
+    }
   }
+#if defined(CPS_OBS_ENABLED)
+  const oracle::BusDrops& want = ref.drops();
+  EXPECT_GT(want.dead_sender, 0u);
+  EXPECT_GT(want.dead_receiver, 0u);
+  EXPECT_GT(want.out_of_range, 0u);
+  EXPECT_GT(want.link_loss_draw, 0u);
+  EXPECT_EQ(cval("net.bus.drop.dead_sender"), want.dead_sender);
+  EXPECT_EQ(cval("net.bus.drop.dead_receiver"), want.dead_receiver);
+  EXPECT_EQ(cval("net.bus.drop.out_of_range"), want.out_of_range);
+  EXPECT_EQ(cval("net.bus.drop.link_loss_draw"), want.link_loss_draw);
+#endif
+  obs::set_enabled(false);
 }
 
-TEST(BusDeliveryEquivalence, GridMatchesFullUnderChurnAllModels) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+TEST(BusDeliveryEquivalence, GridMatchesAllPairsOracleUnderChurnAllModels) {
+  for (const std::size_t threads : {1u, 2u, 3u, 4u}) {
     par::set_thread_count(threads);
     for (const std::string model : {"disk", "distloss", "gilbert"}) {
       SCOPED_TRACE("threads=" + std::to_string(threads) + " model=" + model);
-      expect_same_run(run_cma(model, net::DeliveryMode::kGrid),
-                      run_cma(model, net::DeliveryMode::kFull));
+      expect_bus_matches_oracle(model, /*seed=*/17 + threads);
     }
   }
   par::set_thread_count(1);
-}
-
-TEST(BusDeliveryEquivalence, NeighborsOfMatchesFullAfterChurn) {
-  net::MessageBus<int> grid_bus(30, net::DiskRadio(kRc, 0.0, 1));
-  net::MessageBus<int> full_bus(30, net::DiskRadio(kRc, 0.0, 1));
-  grid_bus.set_delivery_mode(net::DeliveryMode::kGrid);
-  full_bus.set_delivery_mode(net::DeliveryMode::kFull);
-  for (std::size_t i = 0; i < 30; ++i) {
-    const geo::Vec2 p{static_cast<double>((i * 37) % 100),
-                      static_cast<double>((i * 61) % 100)};
-    grid_bus.set_position(i, p);
-    full_bus.set_position(i, p);
-  }
-  for (const std::size_t dead : {std::size_t{3}, std::size_t{11}}) {
-    grid_bus.set_alive(dead, false);
-    full_bus.set_alive(dead, false);
-  }
-  for (std::size_t i = 0; i < 30; ++i) {
-    EXPECT_EQ(grid_bus.neighbors_of(i), full_bus.neighbors_of(i))
-        << "node " << i;
-  }
 }
 
 // --- LinkModel: the no-draw pruning contract ------------------------------

@@ -11,8 +11,10 @@
 // service-equivalence leg re-runs them under tsan with CPS_THREADS=4.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <future>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/delta.hpp"
@@ -108,50 +110,61 @@ TEST(PlannerService, WhatIfMatchesFreshDeltaOfMutatedSurface) {
     SCOPED_TRACE(threads);
     PoolGuard pool(threads);
     const auto field = make_field();
-    // Random interior positions: none coincides with a corner, so node i
-    // maps to vertex kCorners + i in the replicated reconstruction below
-    // (a FarthestPoint base would hit the corners and break that).
-    const auto base = std::make_shared<Deployment>(
-        RandomPlanner(3).plan(*field, {kRegion, 25, 10.0}));
-
-    PlannerService service;
-    const auto snapshot = service.intern(field);
-    WhatIfJob move{snapshot, base, WhatIfJob::Op::kMove, 3,
-                   {12.25, 47.5},  kRegion, kRes};
-    WhatIfJob insert{snapshot, base, WhatIfJob::Op::kInsert, 0,
-                     {71.5, 23.25}, kRegion, kRes};
-    WhatIfJob remove{snapshot, base, WhatIfJob::Op::kRemove, 5,
-                     {0.0, 0.0},    kRegion, kRes};
-    auto f_move = service.submit(move);
-    auto f_insert = service.submit(insert);
-    auto f_remove = service.submit(remove);
+    // Random interior positions, so node i maps to vertex kCorners + i in
+    // the reconstruction below; then node 25 on the (0, 0) corner and
+    // node 26 coincident with node 7 — two nodes sharing a vertex.
+    Deployment deployment = RandomPlanner(3).plan(*field, {kRegion, 25, 10.0});
+    deployment.positions.push_back({0.0, 0.0});
+    deployment.positions.push_back(deployment.positions[7]);
+    const auto base = std::make_shared<Deployment>(std::move(deployment));
 
     // Direct oracle: mutate a copy of the same reconstruction, score it
-    // with a fresh full sweep.  Node i's vertex id is kCorners + i (the
-    // corner scaffolding precedes the insertions; no duplicates here).
+    // with a fresh full sweep.  A vertex that another node (or the corner
+    // scaffolding) still sits on stays: moving one of its nodes only adds
+    // the destination, removing one changes nothing.
     const DeltaMetric metric(kRegion, kRes);
     const auto samples = take_samples(*field, base->positions);
     const geo::Delaunay dt_base = reconstruct_surface(
         samples, kRegion, CornerPolicy::kFieldValue, field.get());
-    {
-      geo::Delaunay dt = dt_base;
-      dt.move_vertex(geo::Delaunay::kCorners + 3, {12.25, 47.5},
-                     field->value({12.25, 47.5}));
-      const JobResult r = f_move.get();
-      ASSERT_TRUE(r.ok) << r.error;
-      EXPECT_EQ(r.delta, metric.delta(*field, dt));
+    struct Case {
+      WhatIfJob::Op op;
+      std::size_t node;
+      geo::Vec2 to;
+      std::function<void(geo::Delaunay&)> mutate;
+    };
+    const auto insert_at = [&](geo::Vec2 to) {
+      return [&field, to](geo::Delaunay& dt) {
+        dt.insert(to, field->value(to));
+      };
+    };
+    const std::vector<Case> cases = {
+        {WhatIfJob::Op::kMove, 3, {12.25, 47.5},
+         [&](geo::Delaunay& dt) {
+           dt.move_vertex(geo::Delaunay::kCorners + 3, {12.25, 47.5},
+                          field->value({12.25, 47.5}));
+         }},
+        {WhatIfJob::Op::kInsert, 0, {71.5, 23.25}, insert_at({71.5, 23.25})},
+        {WhatIfJob::Op::kRemove, 5, {0.0, 0.0},
+         [](geo::Delaunay& dt) { dt.remove(geo::Delaunay::kCorners + 5); }},
+        {WhatIfJob::Op::kMove, 25, {33.5, 61.25}, insert_at({33.5, 61.25})},
+        {WhatIfJob::Op::kRemove, 25, {0.0, 0.0}, [](geo::Delaunay&) {}},
+        {WhatIfJob::Op::kMove, 26, {64.75, 18.5}, insert_at({64.75, 18.5})},
+        {WhatIfJob::Op::kMove, 7, {64.75, 18.5}, insert_at({64.75, 18.5})},
+        {WhatIfJob::Op::kRemove, 26, {0.0, 0.0}, [](geo::Delaunay&) {}},
+    };
+
+    PlannerService service;
+    const auto snapshot = service.intern(field);
+    std::vector<std::future<JobResult>> futures;
+    for (const Case& c : cases) {
+      futures.push_back(service.submit(
+          WhatIfJob{snapshot, base, c.op, c.node, c.to, kRegion, kRes}));
     }
-    {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      SCOPED_TRACE("case " + std::to_string(i));
       geo::Delaunay dt = dt_base;
-      dt.insert({71.5, 23.25}, field->value({71.5, 23.25}));
-      const JobResult r = f_insert.get();
-      ASSERT_TRUE(r.ok) << r.error;
-      EXPECT_EQ(r.delta, metric.delta(*field, dt));
-    }
-    {
-      geo::Delaunay dt = dt_base;
-      dt.remove(geo::Delaunay::kCorners + 5);
-      const JobResult r = f_remove.get();
+      cases[i].mutate(dt);
+      const JobResult r = futures[i].get();
       ASSERT_TRUE(r.ok) << r.error;
       EXPECT_EQ(r.delta, metric.delta(*field, dt));
     }

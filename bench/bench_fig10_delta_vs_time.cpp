@@ -101,18 +101,17 @@ int main(int argc, char** argv) {
     if (tracker != nullptr) {
       const auto& ts = tracker->stats();
       const auto& ds = tracker->delta_stats();
-      const double full = static_cast<double>(ds.events) *
-                          static_cast<double>(ds.full_sweep_points);
+      // One committed batch per slot: each slot re-evaluates at most one
+      // full sweep's worth of lattice points.
       std::printf(
           "%-10s incremental: %zu moves, %zu deaths, %zu revivals; "
-          "%zu delta events re-evaluated %zu lattice points "
-          "(%.1fx fewer than per-event full sweeps; + %zu reference "
-          "retargets)\n",
+          "%zu slot commits re-evaluated %zu lattice points "
+          "(%.0f per slot, full sweep %zu; + %zu reference retargets)\n",
           variant.name, ts.node_moves, ts.node_deaths, ts.node_revivals,
           ds.events, ds.points_reevaluated,
-          full / static_cast<double>(
-                     std::max<std::size_t>(ds.points_reevaluated, 1)),
-          ds.retargets);
+          static_cast<double>(ds.points_reevaluated) /
+              static_cast<double>(std::max<std::size_t>(ds.events, 1)),
+          ds.full_sweep_points, ds.retargets);
     }
     columns.push_back(std::move(deltas));
     conn_columns.push_back(std::move(connected));

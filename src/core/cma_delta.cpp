@@ -13,17 +13,17 @@ namespace {
 double nearest_sample_z(const CmaSimulation& sim, const field::Field& slice,
                         geo::Vec2 corner) {
   double best = std::numeric_limits<double>::infinity();
-  double z = 0.0;
+  std::size_t nearest = sim.node_count();
   for (std::size_t i = 0; i < sim.node_count(); ++i) {
     if (!sim.is_alive(i)) continue;
-    const geo::Vec2 p = sim.positions()[i];
-    const double d2 = geo::distance_sq(corner, p);
+    const double d2 = geo::distance_sq(corner, sim.positions()[i]);
     if (d2 <= best) {
       best = d2;
-      z = slice.value(p);
+      nearest = i;
     }
   }
-  return z;
+  return nearest == sim.node_count() ? 0.0
+                                     : slice.value(sim.positions()[nearest]);
 }
 
 }  // namespace
@@ -52,10 +52,6 @@ CmaDeltaTracker::CmaDeltaTracker(const CmaSimulation& sim,
   delta_ = std::make_unique<IncrementalDelta>(metric, slice, dt_);
 }
 
-double CmaDeltaTracker::sense(const CmaSimulation& sim, geo::Vec2 p) const {
-  return field::FieldSlice(sim.environment(), slice_time_).value(p);
-}
-
 void CmaDeltaTracker::acquire(std::size_t node, int vid) {
   node_vid_[node] = vid;
   if (++vid_refs_[vid] > 1) ++stats_.merges;
@@ -71,34 +67,60 @@ void CmaDeltaTracker::release(std::size_t node) {
   // the vertex behind (its z is re-derived by refresh_corners anyway).
   if (vid < geo::Delaunay::kCorners) return;
   const geo::RemoveResult removal = dt_.remove(vid);
-  delta_->apply(dt_, removal);
+  delta_->mark(dt_, removal);
+}
+
+void CmaDeltaTracker::set_z(int vid, double z) {
+  dt_.set_vertex_z(vid, z);
+  const auto v = static_cast<std::size_t>(vid);
+  if (z_flag_.size() <= v) z_flag_.resize(dt_.vertex_count(), 0);
+  if (z_flag_[v] == 0) {
+    z_flag_[v] = 1;
+    z_vids_.push_back(vid);
+  }
 }
 
 void CmaDeltaTracker::refresh_corners(const CmaSimulation& sim) {
   const field::FieldSlice slice(sim.environment(), slice_time_);
-  std::vector<int> stars;
   for (int corner = 0; corner < geo::Delaunay::kCorners; ++corner) {
     const double z = nearest_sample_z(sim, slice, dt_.vertex(corner).pos);
-    if (z == dt_.vertex(corner).z) continue;
-    dt_.set_vertex_z(corner, z);
-    const std::vector<int> star = dt_.vertex_star(corner);
-    stars.insert(stars.end(), star.begin(), star.end());
+    if (z != dt_.vertex(corner).z) set_z(corner, z);
   }
-  if (stars.empty()) return;
-  std::sort(stars.begin(), stars.end());
-  stars.erase(std::unique(stars.begin(), stars.end()), stars.end());
-  delta_->apply_z_updates(dt_, stars);
+}
+
+void CmaDeltaTracker::mark_z_stars() {
+  if (z_vids_.empty()) return;
+  // The union of the re-valued vertices' stars, ascending and without
+  // repeats: one pass over the triangle slots instead of one star walk
+  // per vertex.
+  stars_.clear();
+  for (std::size_t t = 0; t < dt_.triangle_slots(); ++t) {
+    const int tid = static_cast<int>(t);
+    if (!dt_.triangle_alive(tid)) continue;
+    for (const int v : dt_.triangle(tid).v) {
+      const auto vi = static_cast<std::size_t>(v);
+      if (vi < z_flag_.size() && z_flag_[vi] != 0) {
+        stars_.push_back(tid);
+        break;
+      }
+    }
+  }
+  delta_->mark_z(dt_, stars_);
+  for (const int vid : z_vids_) z_flag_[static_cast<std::size_t>(vid)] = 0;
+  z_vids_.clear();
 }
 
 double CmaDeltaTracker::update(const CmaSimulation& sim) {
   ++stats_.slots;
   // Reference first: the slice advanced, so re-fold the stored surface
-  // against it once (cheap, no geometry); the slot's events then fold
-  // their dirty regions against the already-current reference.
+  // against it once (cheap, no geometry).  The whole slot — moves,
+  // deaths, revivals, the sensor refresh and the corners — is then marked
+  // into one batch and committed once, against the final triangulation.
   slice_time_ = sim.time();
   const field::FieldSlice slice(sim.environment(), slice_time_);
   delta_->retarget(*metric_, slice);
 
+  fresh_.assign(sim.node_count(), 0);
   for (std::size_t i = 0; i < sim.node_count(); ++i) {
     const bool alive = sim.is_alive(i);
     const bool was_alive = node_vid_[i] != -1;
@@ -112,8 +134,9 @@ double CmaDeltaTracker::update(const CmaSimulation& sim) {
       node_pos_[i] = p;
       if (!alive) continue;
       const geo::InsertResult ins = dt_.insert(p, slice.value(p));
-      delta_->apply(dt_, ins);
+      delta_->mark(dt_, ins);
       acquire(i, ins.vertex);
+      fresh_[i] = 1;
       ++stats_.node_revivals;
       continue;
     }
@@ -123,41 +146,36 @@ double CmaDeltaTracker::update(const CmaSimulation& sim) {
     // holders and the node re-inserts at the destination.
     const int vid = node_vid_[i];
     node_pos_[i] = p;
+    fresh_[i] = 1;
     ++stats_.node_moves;
     if (vid >= geo::Delaunay::kCorners && vid_refs_[vid] == 1) {
       const geo::MoveResult moved = dt_.move_vertex(vid, p, slice.value(p));
-      delta_->apply(dt_, moved);
+      delta_->mark(dt_, moved);
       vid_refs_.erase(vid);
       acquire(i, moved.vertex);
     } else {
       release(i);
       const geo::InsertResult ins = dt_.insert(p, slice.value(p));
-      delta_->apply(dt_, ins);
+      delta_->mark(dt_, ins);
       acquire(i, ins.vertex);
     }
   }
 
-  // Batched sensor refresh: unmoved living nodes re-sense the advanced
-  // slice; every vertex whose z actually moved contributes its star to
-  // one z-update event.  (Moved/revived nodes carried fresh z already;
-  // aliased duplicates see the stored z equal and skip.)
-  std::vector<int> stars;
+  // Sensor refresh: unmoved living nodes re-sense the advanced slice.  A
+  // node that moved or revived this slot and is its vertex's only holder
+  // carried a fresh z in its event already; an aliased vertex is
+  // re-sensed through every holder in node order, so the highest holder
+  // wins exactly as latest-insertion-wins would.
   for (std::size_t i = 0; i < sim.node_count(); ++i) {
     const int vid = node_vid_[i];
     if (vid < geo::Delaunay::kCorners) continue;  // Dead (-1) or corner.
+    if (fresh_[i] != 0 && vid_refs_[vid] == 1) continue;
     const double z = slice.value(node_pos_[i]);
-    if (z == dt_.vertex(vid).z) continue;
-    dt_.set_vertex_z(vid, z);
-    const std::vector<int> star = dt_.vertex_star(vid);
-    stars.insert(stars.end(), star.begin(), star.end());
+    if (z != dt_.vertex(vid).z) set_z(vid, z);
   }
-  if (!stars.empty()) {
-    std::sort(stars.begin(), stars.end());
-    stars.erase(std::unique(stars.begin(), stars.end()), stars.end());
-    delta_->apply_z_updates(dt_, stars);
-  }
-
   refresh_corners(sim);
+  mark_z_stars();
+  delta_->commit(dt_);
   return delta_->value();
 }
 

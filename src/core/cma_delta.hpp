@@ -6,8 +6,10 @@
 // keeps ONE persistent triangulation mirroring the living deployment and
 // folds each slot's churn into it as Delaunay events — moved nodes become
 // move_vertex reports, deaths become removals, revivals insertions, and
-// the sensor refresh one batched star z-update — each consumed by an
-// IncrementalDelta in O(changed area).  The reference slice advancing is
+// the sensor refresh and corner rule one z-only star mark.  The whole
+// slot is marked into one IncrementalDelta batch and committed once, so a
+// slot re-evaluates each lattice cell at most once (≤ res² points) however
+// many nodes moved.  The reference slice advancing is
 // a retarget (fold-only O(res²) pass, no point location); under a
 // time-varying environment that pass is irreducible (the whole reference
 // moved), so the asymptotic win is in the geometry work, and under a
@@ -61,9 +63,10 @@ class CmaDeltaTracker {
   CmaDeltaTracker(const CmaSimulation& sim, const DeltaMetric& metric);
 
   /// Folds the slot's churn in: retargets to the current time slice,
-  /// applies node moves/deaths/revivals as Delaunay events, refreshes
-  /// sensed z values (one batched star event) and the corner scaffolding,
-  /// and returns the slot's tracked δ.
+  /// marks node moves/deaths/revivals as Delaunay events, refreshes the
+  /// sensed z values of the nodes that did not move and the corner
+  /// scaffolding (one star mark), commits the batch once, and returns the
+  /// slot's tracked δ.
   double update(const CmaSimulation& sim);
 
   /// The running δ of the tracked deployment against the last update's
@@ -77,17 +80,19 @@ class CmaDeltaTracker {
   }
 
  private:
-  /// Sensed value of a living node's position at the tracked slice time.
-  double sense(const CmaSimulation& sim, geo::Vec2 p) const;
   /// Takes one reference on `vid` for `node`.
   void acquire(std::size_t node, int vid);
   /// Drops `node`'s reference; removes the vertex when it was the last
   /// holder (never for corner scaffolding).  Feeds the removal into the
   /// δ engine.
   void release(std::size_t node);
-  /// Re-applies the nearest-sample corner rule; emits star z-events for
-  /// corners whose value moved.
+  /// Re-values a vertex and stamps it for this slot's star marking.
+  void set_z(int vid, double z);
+  /// Re-applies the nearest-sample corner rule to the corner scaffolding.
   void refresh_corners(const CmaSimulation& sim);
+  /// Marks the union of the stars of every vertex re-valued this slot as
+  /// one z-only change.
+  void mark_z_stars();
 
   const DeltaMetric* metric_;
   geo::Delaunay dt_;
@@ -96,6 +101,10 @@ class CmaDeltaTracker {
   std::vector<int> node_vid_;           ///< Node -> vertex id (-1 = dead).
   std::vector<geo::Vec2> node_pos_;     ///< Position backing node_vid_.
   std::unordered_map<int, int> vid_refs_;
+  std::vector<char> fresh_;             ///< Node got its z this slot.
+  std::vector<char> z_flag_;            ///< Vertex re-valued this slot.
+  std::vector<int> z_vids_;             ///< The flagged vertices.
+  std::vector<int> stars_;              ///< mark_z_stars scratch.
   Stats stats_;
 };
 

@@ -60,6 +60,8 @@ void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
   chunk_epoch_.assign(chunks, 0);
   epoch_ = 0;
   dirty_points_.clear();
+  batch_open_ = false;
+  batch_topology_ = false;
 
   detail::raster_sweep(
       dt, region_, lat_, ref_rows_->data(),
@@ -80,18 +82,6 @@ void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
 
 void IncrementalDelta::rebase(const geo::Delaunay& dt) { rebuild(dt); }
 
-void IncrementalDelta::apply_z_updates(const geo::Delaunay& dt,
-                                       const std::vector<int>& star_triangles) {
-  ++stats_.events;
-  CPS_COUNT("core.delta.inc_events", 1);
-  ++epoch_;
-  dirty_points_.clear();
-  const std::size_t rows = mark_dirty(dt, star_triangles);
-  stats_.rows_touched += rows;
-  CPS_COUNT("core.delta.inc_rows", rows);
-  process_dirty(dt, /*reassign=*/false);
-}
-
 void IncrementalDelta::retarget(const DeltaMetric& metric,
                                 const field::Field& reference) {
   if (metric.resolution() != res_ || metric.region().x0 != region_.x0 ||
@@ -106,8 +96,15 @@ void IncrementalDelta::retarget(const DeltaMetric& metric,
   CPS_COUNT("core.delta.inc_retargets", 1);
 }
 
-std::size_t IncrementalDelta::mark_dirty(const geo::Delaunay& dt,
-                                         const std::vector<int>& tris) {
+void IncrementalDelta::open_batch() {
+  if (batch_open_) return;
+  batch_open_ = true;
+  ++epoch_;
+  dirty_points_.clear();
+}
+
+void IncrementalDelta::mark_dirty(const geo::Delaunay& dt,
+                                  std::span<const int> tris) {
   const auto res = static_cast<long>(res_);
   std::size_t rows = 0;
   for (const int tid : tris) {
@@ -131,15 +128,61 @@ std::size_t IncrementalDelta::mark_dirty(const geo::Delaunay& dt,
           }
         });
   }
-  return rows;
+  stats_.rows_touched += rows;
+  CPS_COUNT("core.delta.inc_rows", rows);
 }
 
-void IncrementalDelta::process_dirty(const geo::Delaunay& dt,
-                                     bool reassign) {
+void IncrementalDelta::mark(const geo::Delaunay& dt,
+                            const geo::InsertResult& r) {
+  open_batch();
+  if (r.inserted) {
+    // The created fan covers the cavity (and therefore every removed
+    // triangle's region): marking it catches every point whose surface
+    // value or assignment the insertion could have moved.
+    batch_topology_ = true;
+    mark_dirty(dt, r.created_triangles);
+  } else if (r.z_changed) {
+    // Duplicate-tolerance hit: topology untouched, surface moved over the
+    // star.
+    mark_dirty(dt, r.star_triangles);
+  }
+}
+
+void IncrementalDelta::mark(const geo::Delaunay& dt,
+                            const geo::RemoveResult& r) {
+  open_batch();
+  batch_topology_ = true;
+  mark_dirty(dt, r.created_triangles);
+}
+
+void IncrementalDelta::mark(const geo::Delaunay& dt,
+                            const geo::MoveResult& r) {
+  open_batch();
+  batch_topology_ = true;
+  mark_dirty(dt, r.changed_triangles);
+}
+
+void IncrementalDelta::mark_z(const geo::Delaunay& dt,
+                              std::span<const int> star_triangles) {
+  open_batch();
+  mark_dirty(dt, star_triangles);
+}
+
+void IncrementalDelta::commit(const geo::Delaunay& dt) {
+  if (!batch_open_) return;
+  batch_open_ = false;
+  const bool reassign = batch_topology_;
+  batch_topology_ = false;
+  ++stats_.events;
+  CPS_COUNT("core.delta.inc_events", 1);
+  // A batch with nothing marked (a pure duplicate hit) leaves every
+  // assignment and surface value as it was.
+  if (!reassign && dirty_points_.empty()) return;
+
   if (reassign) {
     // Non-strict points sit on edges/vertices, where assignment is
     // hint-dependent: any upstream change can shift the hint they would
-    // be walked with, so they are re-walked on every topology event.
+    // be walked with, so they are re-walked at every topology commit.
     for (const std::uint32_t k : fallback_) {
       if (point_epoch_[k] != epoch_) {
         point_epoch_[k] = epoch_;
@@ -148,12 +191,12 @@ void IncrementalDelta::process_dirty(const geo::Delaunay& dt,
     }
   }
   // Ascending order: a relocation at k reads assign_[k - 1], which must
-  // already hold its final (this-event) value to replay the fresh sweep's
+  // already hold its final (this-batch) value to replay the fresh sweep's
   // hint chain.
   std::sort(dirty_points_.begin(), dirty_points_.end());
 
   const std::span<const double> xs = lat_.xs();
-  std::vector<std::uint32_t> dirty_chunks;
+  dirty_chunks_.clear();
   for (const std::uint32_t k : dirty_points_) {
     const std::size_t j = k / res_;
     const std::size_t i = k % res_;
@@ -182,7 +225,7 @@ void IncrementalDelta::process_dirty(const geo::Delaunay& dt,
     const auto c = static_cast<std::uint32_t>(chunk_of(k));
     if (chunk_epoch_[c] != epoch_) {
       chunk_epoch_[c] = epoch_;
-      dirty_chunks.push_back(c);
+      dirty_chunks_.push_back(c);
     }
   }
   if (reassign) {
@@ -194,58 +237,9 @@ void IncrementalDelta::process_dirty(const geo::Delaunay& dt,
       if (strict_[k] == 0) fallback_.push_back(k);
     }
   }
-  for (const std::uint32_t c : dirty_chunks) refold_chunk(c);
+  for (const std::uint32_t c : dirty_chunks_) refold_chunk(c);
   stats_.points_reevaluated += dirty_points_.size();
   CPS_COUNT("core.delta.inc_points", dirty_points_.size());
-}
-
-void IncrementalDelta::apply(const geo::Delaunay& dt,
-                             const geo::InsertResult& r) {
-  ++stats_.events;
-  CPS_COUNT("core.delta.inc_events", 1);
-  ++epoch_;
-  dirty_points_.clear();
-  if (r.inserted) {
-    // The created fan covers the cavity (and therefore every removed
-    // triangle's region): marking it catches every point whose surface
-    // value or assignment the insertion could have moved.
-    const std::size_t rows = mark_dirty(dt, r.created_triangles);
-    stats_.rows_touched += rows;
-    CPS_COUNT("core.delta.inc_rows", rows);
-    process_dirty(dt, /*reassign=*/true);
-  } else if (r.z_changed) {
-    // Duplicate-tolerance hit: topology untouched, surface moved over the
-    // star.  Assignments and hint chains are already what a fresh sweep
-    // produces; only the covered contributions need re-interpolating.
-    const std::size_t rows = mark_dirty(dt, r.star_triangles);
-    stats_.rows_touched += rows;
-    CPS_COUNT("core.delta.inc_rows", rows);
-    process_dirty(dt, /*reassign=*/false);
-  }
-}
-
-void IncrementalDelta::apply(const geo::Delaunay& dt,
-                             const geo::RemoveResult& r) {
-  ++stats_.events;
-  CPS_COUNT("core.delta.inc_events", 1);
-  ++epoch_;
-  dirty_points_.clear();
-  const std::size_t rows = mark_dirty(dt, r.created_triangles);
-  stats_.rows_touched += rows;
-  CPS_COUNT("core.delta.inc_rows", rows);
-  process_dirty(dt, /*reassign=*/true);
-}
-
-void IncrementalDelta::apply(const geo::Delaunay& dt,
-                             const geo::MoveResult& r) {
-  ++stats_.events;
-  CPS_COUNT("core.delta.inc_events", 1);
-  ++epoch_;
-  dirty_points_.clear();
-  const std::size_t rows = mark_dirty(dt, r.changed_triangles);
-  stats_.rows_touched += rows;
-  CPS_COUNT("core.delta.inc_rows", rows);
-  process_dirty(dt, /*reassign=*/true);
 }
 
 double IncrementalDelta::value() const noexcept {

@@ -5,24 +5,33 @@
 // and the rebuilt surface is untouched outside them.  IncrementalDelta
 // keeps the full per-point state of one raster sweep (triangle
 // assignment, strictness, |f - DT| contribution) plus per-chunk partial
-// sums, consumes each insert/remove/move report, and re-evaluates only
-// the lattice cells the report's triangles cover: O(changed area) per
-// event instead of O(res²).
+// sums.  Events are folded in batches: mark() records the lattice cells a
+// report's triangles cover, commit() re-evaluates the union of the
+// batch's marks once — O(changed area) per batch instead of O(res²), and
+// never more than res² points however many events the batch holds.
+// apply() is a one-event batch.
 //
-// Oracle protocol (DESIGN.md §13): after every applied event, value() is
+// Oracle protocol (DESIGN.md §13): after every commit, value() is
 // bit-identical to a fresh DeltaMetric::delta() of the same triangulation
 // (and therefore to the remembering-walk oracle in tests/oracle).  The
 // build is the same raster sweep delta() runs (core/delta_detail.hpp),
 // kept per point; after that it holds because
+//  * every cell whose triangle died or whose surface moved during the
+//    batch is marked: a mark rasterises the report's triangles as they
+//    are at that event (created fans cover every removed triangle, stars
+//    cover every z change), so a later recycling of a triangle id cannot
+//    hide an earlier change;
 //  * assignments are re-derived through the sweep's own rules — a stored
 //    strict assignment is kept only while its triangle is alive and still
 //    strictly contains the point (strict containment is unique and
-//    hint-independent), every other dirty point replays locate_from with
-//    the exact hint the fresh sweep would carry (the previous point's
-//    assignment in the captured chunk layout, -1 at a chunk head);
-//  * non-strict (edge/vertex) points are re-walked on EVERY topology
-//    event, dirty region or not — their assignment is hint-dependent, so
-//    staleness is never allowed to accumulate through them;
+//    hint-independent, so this holds even for a recycled id), every other
+//    dirty point replays locate_from with the exact hint the fresh sweep
+//    would carry (the previous point's assignment in the captured chunk
+//    layout, -1 at a chunk head);
+//  * non-strict (edge/vertex) points are re-walked at EVERY commit that
+//    holds a topology event, dirty region or not — their assignment is
+//    hint-dependent, so staleness is never allowed to accumulate through
+//    them;
 //  * per-point contributions are interpolated through the sweep's
 //    expression verbatim (core/delta_detail.hpp), and dirty chunks are
 //    re-folded serially in point order, preserving the sum's rounding
@@ -30,14 +39,14 @@
 //
 // The chunk layout (detail::chunk_rows: one chunk vs 4-row chunks) is
 // captured from the telemetry/thread state at build; rebase() recaptures
-// it.  Change
-// the thread count or arm the timeline mid-stream and value() is
+// it.  Change the thread count or arm the timeline mid-stream and value() is
 // comparing against a layout delta() no longer uses — rebase first.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/delta.hpp"
@@ -48,14 +57,16 @@
 namespace cps::core {
 
 /// Stateful cavity-local δ accumulator over one (metric, reference) pair.
-/// Not thread-safe; apply events from the thread that owns the
-/// triangulation, in the order they happened.
+/// Not thread-safe; mark events from the thread that owns the
+/// triangulation, right after each one happens (a mark rasterises the
+/// report's triangles as they are at that moment), and commit before
+/// reading value().
 class IncrementalDelta {
  public:
   /// Cumulative work accounting (the bench_perf `delta.incremental`
   /// record and the ≥10× savings gate read these).
   struct Stats {
-    std::size_t events = 0;              ///< Applied event reports.
+    std::size_t events = 0;              ///< Committed batches.
     std::size_t points_reevaluated = 0;  ///< Lattice cells re-assigned/-interpolated.
     std::size_t rows_touched = 0;        ///< Lattice rows containing such cells.
     std::size_t keeps = 0;               ///< Dirty points whose assignment survived.
@@ -63,7 +74,8 @@ class IncrementalDelta {
     std::size_t rebuilds = 0;            ///< Full sweeps (construction + rebase).
     std::size_t retargets = 0;           ///< Reference swaps (fold-only passes).
     /// Lattice points one full sweep evaluates (res²): events *
-    /// full_sweep_points is what the from-scratch path would have cost.
+    /// full_sweep_points is what re-sweeping after every commit would
+    /// have cost.
     std::size_t full_sweep_points = 0;
   };
 
@@ -74,27 +86,37 @@ class IncrementalDelta {
   IncrementalDelta(const DeltaMetric& metric, const field::Field& reference,
                    const geo::Delaunay& dt);
 
-  /// Consumes one insertion report.  A structural insert re-rasters the
-  /// created cavity; a duplicate-tolerance hit with z_changed re-folds
-  /// the star (the PR's staleness bugfix — without the flag this event is
-  /// invisible and the running δ silently drifts); a pure duplicate is a
-  /// no-op.
-  void apply(const geo::Delaunay& dt, const geo::InsertResult& r);
+  /// Records one insertion report into the open batch.  A structural
+  /// insert marks the created cavity; a duplicate-tolerance hit with
+  /// z_changed marks the star (without the flag this event is invisible
+  /// and the running δ silently drifts); a pure duplicate marks nothing.
+  void mark(const geo::Delaunay& dt, const geo::InsertResult& r);
 
-  /// Consumes one removal report (re-rasters the hole fan).
-  void apply(const geo::Delaunay& dt, const geo::RemoveResult& r);
+  /// Records one removal report (the hole fan).
+  void mark(const geo::Delaunay& dt, const geo::RemoveResult& r);
 
-  /// Consumes one relocation report (re-rasters changed_triangles, which
-  /// cover both the old star and the new cavity).
-  void apply(const geo::Delaunay& dt, const geo::MoveResult& r);
+  /// Records one relocation report (changed_triangles, which cover both
+  /// the old star and the new cavity).
+  void mark(const geo::Delaunay& dt, const geo::MoveResult& r);
 
-  /// Consumes a batched z-update report: the union of the stars of every
-  /// vertex whose z changed this step, as one event.  Topology untouched —
-  /// assignments and hint chains stay valid; only the covered
-  /// contributions re-interpolate.  CMA folds a whole slot's sensor
-  /// refresh through this instead of one star event per node.
-  void apply_z_updates(const geo::Delaunay& dt,
-                       const std::vector<int>& star_triangles);
+  /// Records a z-only change: the surface moved over `star_triangles`
+  /// (the union of the stars of the re-valued vertices), topology
+  /// untouched.
+  void mark_z(const geo::Delaunay& dt, std::span<const int> star_triangles);
+
+  /// Folds the open batch into value(): every marked lattice cell is
+  /// re-assigned (only when the batch holds a topology event) and
+  /// re-interpolated against `dt`, and its chunk re-folded.  A batch of
+  /// any length costs at most one pass over the union of its marks plus
+  /// one re-walk of the non-strict points.  No-op without an open batch.
+  void commit(const geo::Delaunay& dt);
+
+  /// One-event batch: mark(dt, r) then commit(dt).
+  template <typename Report>
+  void apply(const geo::Delaunay& dt, const Report& r) {
+    mark(dt, r);
+    commit(dt);
+  }
 
   /// Swaps the reference field without touching the triangulation state:
   /// pins the new reference lattice and re-folds every chunk from the
@@ -120,15 +142,11 @@ class IncrementalDelta {
 
  private:
   void rebuild(const geo::Delaunay& dt);
+  /// Opens a batch on the first mark after a commit (bumps the epoch).
+  void open_batch();
   /// Marks every lattice cell covered by `tris` dirty (epoch-stamped) and
-  /// appends fresh indices to dirty_points_; returns rows touched.
-  std::size_t mark_dirty(const geo::Delaunay& dt,
-                         const std::vector<int>& tris);
-  /// Re-assigns + re-interpolates the collected dirty points, then
-  /// re-folds their chunks.  `reassign` is false for pure z-change events
-  /// (topology untouched: assignments and hint chains are already what a
-  /// fresh sweep would produce).
-  void process_dirty(const geo::Delaunay& dt, bool reassign);
+  /// appends fresh indices to dirty_points_.
+  void mark_dirty(const geo::Delaunay& dt, std::span<const int> tris);
   bool chunk_first(std::size_t k) const noexcept;
   std::size_t chunk_of(std::size_t k) const noexcept;
   void refold_chunk(std::size_t c);
@@ -155,6 +173,11 @@ class IncrementalDelta {
   std::vector<std::uint32_t> chunk_epoch_;
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> dirty_points_;
+  std::vector<std::uint32_t> dirty_chunks_;
+  bool batch_open_ = false;
+  /// The open batch holds an insert/remove/move: assignments must be
+  /// re-derived, not just re-interpolated.
+  bool batch_topology_ = false;
 
   Stats stats_;
 };

@@ -49,19 +49,37 @@ GilbertElliottLink::GilbertElliottLink(double radius, const Params& params,
 }
 
 bool GilbertElliottLink::link_is_bad(NodeId from, NodeId to) const noexcept {
-  const auto it = bad_.find({from, to});
-  return it != bad_.end() && it->second;
+  if (from >= bad_.size()) return false;
+  const std::vector<NodeId>& row = bad_[from];
+  return std::find(row.begin(), row.end(), to) != row.end();
+}
+
+std::size_t GilbertElliottLink::faded_links() const noexcept {
+  std::size_t n = 0;
+  for (const std::vector<NodeId>& row : bad_) n += row.size();
+  return n;
 }
 
 bool GilbertElliottLink::transmit(NodeId from, NodeId to, geo::Vec2 from_pos,
                                   geo::Vec2 to_pos) noexcept {
   if (!in_range(from_pos, to_pos)) return false;
-  bool& is_bad = bad_[{from, to}];
+  if (from >= bad_.size()) bad_.resize(from + 1);
+  std::vector<NodeId>& row = bad_[from];
+  const auto it = std::find(row.begin(), row.end(), to);
+  bool is_bad = it != row.end();
   // One Markov step per attempt, then a loss draw in the new state; the
   // two draws always happen so the stream stays aligned across links.
   const bool flip = rng_.bernoulli(is_bad ? params_.p_bad_to_good
                                           : params_.p_good_to_bad);
-  if (flip) is_bad = !is_bad;
+  if (flip) {
+    if (is_bad) {
+      *it = row.back();  // Recovered: order within a row is irrelevant.
+      row.pop_back();
+    } else {
+      row.push_back(to);
+    }
+    is_bad = !is_bad;
+  }
   return !rng_.bernoulli(is_bad ? params_.loss_bad : params_.loss_good);
 }
 

@@ -29,9 +29,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "geometry/vec2.hpp"
 #include "net/radio.hpp"
@@ -196,6 +196,11 @@ class DistanceLossLink final : public LinkModel {
 /// with a per-state loss probability.  Expected burst length in the bad
 /// state is 1 / p_bad_to_good, so small transition probabilities give
 /// long fades — the regime i.i.d. loss cannot express.
+///
+/// Link state is stored flat: per sender, the receivers whose link is bad
+/// right now.  Every link starts good and a recovered link is erased, so
+/// memory follows the fades that are live, not every link ever probed,
+/// and a lookup scans one sender's few live fades.
 class GilbertElliottLink final : public LinkModel {
  public:
   struct Params {
@@ -216,6 +221,9 @@ class GilbertElliottLink final : public LinkModel {
   /// True when the directed link is currently faded (in the bad state).
   bool link_is_bad(NodeId from, NodeId to) const noexcept;
 
+  /// Directed links in the bad state right now (the stored link state).
+  std::size_t faded_links() const noexcept;
+
   bool transmit(NodeId from, NodeId to, geo::Vec2 from_pos,
                 geo::Vec2 to_pos) noexcept override;
   std::unique_ptr<LinkModel> clone() const override {
@@ -226,8 +234,10 @@ class GilbertElliottLink final : public LinkModel {
   double radius_;
   Params params_;
   num::Rng rng_;
-  /// Directed link -> in-bad-state.  Absent means good (the start state).
-  std::map<std::pair<NodeId, NodeId>, bool> bad_;
+  /// bad_[from] lists the receivers `to` whose directed link from -> to
+  /// is in the bad state, in no particular order.  Absent means good (the
+  /// start state); senders past the end have no bad links.
+  std::vector<std::vector<NodeId>> bad_;
 };
 
 }  // namespace cps::net

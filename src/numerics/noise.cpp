@@ -1,5 +1,6 @@
 #include "numerics/noise.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -49,6 +50,51 @@ double ValueNoise::sample(double x, double y) const noexcept {
   const double a = v00 * (1.0 - tx) + v10 * tx;
   const double b = v01 * (1.0 - tx) + v11 * tx;
   return a * (1.0 - ty) + b * ty;
+}
+
+void ValueNoise::fbm_row(double y, std::span<const double> xs, int octaves,
+                         double* out) const {
+  if (octaves < 1) {
+    throw std::invalid_argument("ValueNoise::fbm_row: octaves");
+  }
+  const std::size_t n = xs.size();
+  // Octave-outer: per point the sum still accumulates octave 0, 1, ... in
+  // fbm's order, and every octave term is sample()'s expression verbatim.
+  std::fill(out, out + n, 0.0);
+  double amp = 1.0;
+  double total = 0.0;
+  double scale = 1.0;
+  for (int o = 0; o < octaves; ++o) {
+    const ValueNoise layer(
+        seed_ + static_cast<std::uint64_t>(o) * 0x51ed2701ULL,
+        frequency_ * scale);
+    const double fy = y * layer.frequency_;
+    const auto iy = static_cast<std::int64_t>(std::floor(fy));
+    const double ty = ease(fy - static_cast<double>(iy));
+    bool have_cell = false;
+    std::int64_t cell = 0;
+    double v00 = 0.0, v10 = 0.0, v01 = 0.0, v11 = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double fx = xs[i] * layer.frequency_;
+      const auto ix = static_cast<std::int64_t>(std::floor(fx));
+      if (!have_cell || ix != cell) {
+        have_cell = true;
+        cell = ix;
+        v00 = layer.lattice(ix, iy);
+        v10 = layer.lattice(ix + 1, iy);
+        v01 = layer.lattice(ix, iy + 1);
+        v11 = layer.lattice(ix + 1, iy + 1);
+      }
+      const double tx = ease(fx - static_cast<double>(ix));
+      const double a = v00 * (1.0 - tx) + v10 * tx;
+      const double b = v01 * (1.0 - tx) + v11 * tx;
+      out[i] += amp * (a * (1.0 - ty) + b * ty);
+    }
+    total += amp;
+    amp *= 0.5;
+    scale *= 2.0;
+  }
+  for (std::size_t i = 0; i < n; ++i) out[i] /= total;
 }
 
 double ValueNoise::fbm(double x, double y, int octaves) const {

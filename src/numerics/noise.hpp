@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 namespace cps::num {
 
@@ -20,6 +21,13 @@ class ValueNoise {
 
   /// Fractal Brownian motion: octaves >= 1 (else std::invalid_argument).
   double fbm(double x, double y, int octaves) const;
+
+  /// Batched fbm along one row: out[i] = fbm(xs[i], y, octaves),
+  /// bit-identical.  Each octave's row-invariant y terms are computed
+  /// once, and the four corner values are reused while consecutive
+  /// abscissae stay in one lattice cell.  `out` must hold xs.size() slots.
+  void fbm_row(double y, std::span<const double> xs, int octaves,
+               double* out) const;
 
  private:
   double lattice(std::int64_t ix, std::int64_t iy) const noexcept;

@@ -76,71 +76,85 @@ geo::Vec2 GreenOrbsField::gap_center(const Gap& g, double t) const noexcept {
   return c;
 }
 
-double GreenOrbsField::do_value(geo::Vec2 p, double t) const {
-  const double env = envelope(t);
-  if (env == 0.0) return 0.0;
-  double light = config_.base_light;
+/// The diurnal envelope and, per gap, the drifted centre, the fluttered
+/// amplitude and 2σ² at one instant of one field.
+struct GreenOrbsField::Instant {
+  struct Gap {
+    geo::Vec2 center;
+    double fluttered_amplitude = 0.0;
+    double two_sigma_sq = 0.0;
+  };
+  std::uint64_t field_key = 0;  ///< instance_key() of the owner; 0 = none.
+  std::uint64_t t_bits = 0;
+  double envelope = 0.0;
+  std::vector<Gap> gaps;
+};
+
+const GreenOrbsField::Instant& GreenOrbsField::instant(double t) const {
+  // One entry per thread, shared by every GreenOrbsField and by do_value
+  // and do_value_row: sensing and raster rows hammer one instant of one
+  // field at a time, so a single entry hits almost always.
+  thread_local Instant state;
+  const std::uint64_t t_bits = field::fieldkey::bits(t);
+  if (state.field_key == instance_key() && state.t_bits == t_bits) {
+    return state;
+  }
+  state.field_key = instance_key();
+  state.t_bits = t_bits;
+  state.envelope = envelope(t);
+  state.gaps.clear();
+  state.gaps.reserve(gaps_.size());
   for (const auto& g : gaps_) {
     const double flutter =
         1.0 + config_.flutter_fraction *
                   std::sin(2.0 * std::numbers::pi * t /
                                config_.flutter_period +
                            g.flutter_phase);
-    const double r2 = geo::distance_sq(p, gap_center(g, t));
-    light += g.amplitude * flutter *
-             std::exp(-r2 / (2.0 * g.sigma * g.sigma));
+    // amplitude * flutter * exp(...) associates left, so the hoisted
+    // product is the same double the per-point expression would form.
+    state.gaps.push_back(Instant::Gap{gap_center(g, t), g.amplitude * flutter,
+                                      2.0 * g.sigma * g.sigma});
+  }
+  return state;
+}
+
+double GreenOrbsField::do_value(geo::Vec2 p, double t) const {
+  const Instant& now = instant(t);
+  if (now.envelope == 0.0) return 0.0;
+  double light = config_.base_light;
+  for (const auto& g : now.gaps) {
+    const double r2 = geo::distance_sq(p, g.center);
+    light += g.fluttered_amplitude * std::exp(-r2 / g.two_sigma_sq);
   }
   light += config_.noise_amplitude * noise_.fbm(p.x, p.y, 3);
-  return std::max(0.0, env * light);
+  return std::max(0.0, now.envelope * light);
 }
 
 void GreenOrbsField::do_value_row(double y, std::span<const double> xs,
                                   double t, double* out) const {
-  const double env = envelope(t);
-  if (env == 0.0) {
+  const Instant& now = instant(t);
+  if (now.envelope == 0.0) {
     std::fill(out, out + xs.size(), 0.0);
     return;
-  }
-  // Everything t-dependent — the diurnal envelope, each gap's fluttered
-  // amplitude and drifted centre — is row-invariant; hoist it so the inner
-  // loop is one Gaussian per gap per point.  The per-point expressions
-  // match do_value exactly (amplitude * flutter associates left, so the
-  // hoisted product is the same double).
-  struct RowGap {
-    geo::Vec2 center;
-    double fluttered_amplitude;
-    double two_sigma_sq;
-  };
-  thread_local std::vector<RowGap> row_gaps;
-  row_gaps.clear();
-  row_gaps.reserve(gaps_.size());
-  for (const auto& g : gaps_) {
-    const double flutter =
-        1.0 + config_.flutter_fraction *
-                  std::sin(2.0 * std::numbers::pi * t /
-                               config_.flutter_period +
-                           g.flutter_phase);
-    row_gaps.push_back(RowGap{gap_center(g, t), g.amplitude * flutter,
-                              2.0 * g.sigma * g.sigma});
   }
   // Gap-outer restructuring (same shape as GaussianMixtureField): per
   // point the accumulation still runs base + gap0 + gap1 + ... + noise in
   // that order, so every intermediate rounding matches do_value.  Each
   // gap's exponent arguments vectorize (distance_sq spelled out in its
-  // dx*dx + dy*dy order); std::exp and the fbm noise stay scalar — the
-  // vectorized libmvec variants are not bit-identical to scalar libm, and
-  // fbm branches per octave.
+  // dx*dx + dy*dy order); std::exp stays scalar — the vectorized libmvec
+  // variants are not bit-identical to scalar libm.  The noise comes from
+  // fbm_row, which repeats fbm's per-point arithmetic.
   const std::size_t n = xs.size();
   thread_local std::vector<double> light, arg;
   light.resize(n);
   arg.resize(n);
   CPS_SIMD
   for (std::size_t i = 0; i < n; ++i) light[i] = config_.base_light;
-  for (const auto& rg : row_gaps) {
-    const double cx = rg.center.x;
-    const double dy_sq = (y - rg.center.y) * (y - rg.center.y);
-    const double two_sigma_sq = rg.two_sigma_sq;
-    const double amplitude = rg.fluttered_amplitude;
+  for (const auto& g : now.gaps) {
+    const double cx = g.center.x;
+    const double dy_sq = (y - g.center.y) * (y - g.center.y);
+    const double two_sigma_sq = g.two_sigma_sq;
+    const double amplitude = g.fluttered_amplitude;
     CPS_SIMD
     for (std::size_t i = 0; i < n; ++i) {
       const double dx = xs[i] - cx;
@@ -151,9 +165,12 @@ void GreenOrbsField::do_value_row(double y, std::span<const double> xs,
     CPS_SIMD
     for (std::size_t i = 0; i < n; ++i) light[i] += amplitude * arg[i];
   }
+  noise_.fbm_row(y, xs, 3, arg.data());
+  CPS_SIMD
   for (std::size_t i = 0; i < n; ++i) {
-    light[i] += config_.noise_amplitude * noise_.fbm(xs[i], y, 3);
+    light[i] += config_.noise_amplitude * arg[i];
   }
+  const double env = now.envelope;
   CPS_SIMD
   for (std::size_t i = 0; i < n; ++i) out[i] = std::max(0.0, env * light[i]);
 }

@@ -97,7 +97,15 @@ class GreenOrbsField final : public field::TimeVaryingField {
     double flutter_phase = 0.0;
   };
 
+  /// Everything one instant fixes (defined in greenorbs.cpp).
+  struct Instant;
+
   geo::Vec2 gap_center(const Gap& g, double t) const noexcept;
+  /// The calling thread's per-instant state for (this field, t), rebuilt
+  /// only when either changed since the thread's last call.  Keyed on the
+  /// never-reused instance key, so a field rebuilt at a recycled address
+  /// cannot read its predecessor's state.
+  const Instant& instant(double t) const;
 
   GreenOrbsConfig config_;
   std::vector<Gap> gaps_;

@@ -23,6 +23,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -138,6 +139,127 @@ void fuzz_events(const field::Field& f, std::uint64_t seed,
             events * inc.stats().full_sweep_points);
 }
 
+/// Like fuzz_events, but folds the events in random-size batches: every
+/// event is marked right after it happens and the tracker is committed
+/// (and checked against a fresh sweep and the walk oracle) only at the
+/// end of each batch.  Batches mix topology and z-only events, so
+/// triangle ids freed early in a batch are routinely recycled by later
+/// events before the commit.
+void fuzz_batches(const field::Field& f, std::uint64_t seed,
+                  std::size_t batches, std::size_t resolution) {
+  DeltaMetric raster(kRegion, resolution);
+  geo::Delaunay dt(kRegion);
+  for (int corner = 0; corner < geo::Delaunay::kCorners; ++corner) {
+    dt.set_vertex_z(corner, f.value(dt.vertex(corner).pos));
+  }
+  IncrementalDelta inc(raster, f, dt);
+
+  num::Rng rng(seed);
+  const auto random_point = [&]() -> geo::Vec2 {
+    // Lattice-aligned sites (res-40 midpoints sit at 1.25 + 2.5 i): edges
+    // between them run through lattice points, so batches churn the
+    // non-strict, hint-dependent assignments a commit must re-walk in
+    // ascending order.
+    if (rng.uniform() < 0.5) {
+      return {1.25 + 12.5 * static_cast<double>(rng.uniform_int(0, 7)),
+              1.25 + 12.5 * static_cast<double>(rng.uniform_int(0, 7))};
+    }
+    return {rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
+  };
+  const auto random_z = [&]() { return rng.uniform(-10.0, 10.0); };
+  const auto pick = [&](const std::vector<int>& v) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(v.size()) - 1));
+  };
+
+  std::vector<int> user;
+  const std::size_t full = inc.stats().full_sweep_points;
+  for (std::size_t b = 0; b < batches; ++b) {
+    const auto size = static_cast<std::size_t>(rng.uniform_int(1, 14));
+    const std::size_t points0 = inc.stats().points_reevaluated;
+    const std::size_t relocates0 = inc.stats().relocates;
+    bool topology = false;
+    for (std::size_t e = 0; e < size; ++e) {
+      const double r = rng.uniform();
+      if (r < 0.35 || user.empty()) {
+        const geo::InsertResult ins = dt.insert(random_point(), random_z());
+        if (ins.inserted) user.push_back(ins.vertex);
+        topology = topology || ins.inserted;
+        inc.mark(dt, ins);
+      } else if (r < 0.45) {
+        const int v = user[pick(user)];
+        inc.mark(dt, dt.insert(dt.vertex(v).pos, random_z()));
+      } else if (r < 0.65) {
+        // z-only: a user vertex or a corner re-valued in place.
+        const int v = rng.uniform() < 0.2
+                          ? static_cast<int>(rng.uniform_int(0, 3))
+                          : user[pick(user)];
+        dt.set_vertex_z(v, random_z());
+        inc.mark_z(dt, dt.vertex_star(v));
+      } else if (r < 0.85) {
+        const std::size_t slot = pick(user);
+        const geo::MoveResult moved =
+            dt.move_vertex(user[slot], random_point(), random_z());
+        user.erase(user.begin() + static_cast<std::ptrdiff_t>(slot));
+        if (moved.inserted) user.push_back(moved.vertex);
+        topology = true;
+        inc.mark(dt, moved);
+      } else {
+        const std::size_t slot = pick(user);
+        const geo::RemoveResult removal = dt.remove(user[slot]);
+        user.erase(user.begin() + static_cast<std::ptrdiff_t>(slot));
+        topology = true;
+        inc.mark(dt, removal);
+      }
+    }
+    inc.commit(dt);
+    SCOPED_TRACE("batch " + std::to_string(b) + " of " +
+                 std::to_string(size) + " events");
+    const double fresh = raster.delta(f, dt);
+    ASSERT_EQ(inc.value(), fresh);
+    ASSERT_EQ(fresh, oracle::walk_delta(raster, f, dt));
+    // One commit re-evaluates each lattice point at most once.
+    EXPECT_LE(inc.stats().points_reevaluated - points0, full);
+    // A z-only batch never re-assigns.
+    if (!topology) {
+      EXPECT_EQ(inc.stats().relocates, relocates0);
+    }
+  }
+  EXPECT_EQ(inc.stats().events, batches);
+  // A commit with nothing marked since the last one is a no-op.
+  const double before = inc.value();
+  inc.commit(dt);
+  EXPECT_EQ(inc.value(), before);
+  EXPECT_EQ(inc.stats().events, batches);
+}
+
+TEST(IncrementalDeltaFuzz, BatchedCommitsMatchBothOracles) {
+  struct ArmedTimeline {
+    explicit ArmedTimeline(bool on) : on_(on) {
+      if (on_) obs::timeline().set_armed(true);
+    }
+    ~ArmedTimeline() {
+      if (!on_) return;
+      obs::timeline().set_armed(false);
+      obs::timeline().clear();
+    }
+    bool on_;
+  };
+  ThreadGuard guard;
+  const auto f = reference_surface();
+  const field::PeaksField peaks(kRegion);
+  for (const bool armed : {false, true}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(armed ? "armed" : "disarmed") +
+                   " threads=" + std::to_string(threads));
+      par::set_thread_count(threads);
+      const ArmedTimeline timeline(armed);
+      fuzz_batches(f, 900 + threads + (armed ? 10 : 0), 40, 40);
+      fuzz_batches(peaks, 950 + threads + (armed ? 10 : 0), 24, 36);
+    }
+  }
+}
+
 TEST(IncrementalDeltaFuzz, MatchesBothOraclesAcrossThreads) {
   ThreadGuard guard;
   const auto f = reference_surface();
@@ -237,10 +359,12 @@ TEST(IncrementalDelta, BatchedZUpdatesMatchFreshSweep) {
   touch(0, 1.75);  // Corner scaffolding.
   std::sort(stars.begin(), stars.end());
   stars.erase(std::unique(stars.begin(), stars.end()), stars.end());
-  inc.apply_z_updates(dt, stars);
+  inc.mark_z(dt, stars);
+  inc.commit(dt);
 
   EXPECT_EQ(inc.value(), metric.delta(f, dt));
   EXPECT_EQ(inc.stats().events, 1u);
+  EXPECT_EQ(inc.stats().relocates, 0u);  // z-only: no re-assignment.
 }
 
 TEST(IncrementalDelta, RebaseRecapturesChunkLayout) {
@@ -343,6 +467,55 @@ TEST(IncrementalDelta, FraTrackedTrajectoryMatchesDeploymentSweeps) {
 
 // --- CmaDeltaTracker -------------------------------------------------------
 
+/// The tracked surface is reconstruct_surface(sense_at_nodes()) at the
+/// current slice: every living node has a vertex at its exact position
+/// carrying the slice value there, no other user vertex is alive, and
+/// each corner carries the value at its nearest living node (ties to the
+/// highest index).  A stale z would still match a fresh sweep of the
+/// same triangulation, so the δ checks alone cannot see it.
+void expect_sensed_surface(const CmaSimulation& sim, const geo::Delaunay& dt) {
+  const field::FieldSlice slice(sim.environment(), sim.time());
+  std::size_t living_sites = 0;
+  for (int v = geo::Delaunay::kCorners;
+       v < static_cast<int>(dt.vertex_count()); ++v) {
+    if (!dt.vertex_alive(v)) continue;
+    ++living_sites;
+    const geo::Vec2 p = dt.vertex(v).pos;
+    EXPECT_EQ(dt.vertex(v).z, slice.value(p)) << "vertex " << v;
+    bool held = false;
+    for (std::size_t i = 0; i < sim.node_count(); ++i) {
+      held = held || (sim.is_alive(i) && sim.positions()[i].x == p.x &&
+                      sim.positions()[i].y == p.y);
+    }
+    EXPECT_TRUE(held) << "vertex " << v << " has no living node";
+  }
+  std::vector<geo::Vec2> sites;
+  for (std::size_t i = 0; i < sim.node_count(); ++i) {
+    if (!sim.is_alive(i)) continue;
+    const geo::Vec2 p = sim.positions()[i];
+    if (std::none_of(sites.begin(), sites.end(), [&](geo::Vec2 q) {
+          return q.x == p.x && q.y == p.y;
+        })) {
+      sites.push_back(p);
+    }
+  }
+  EXPECT_EQ(living_sites, sites.size());
+  for (int c = 0; c < geo::Delaunay::kCorners; ++c) {
+    const geo::Vec2 corner = dt.vertex(c).pos;
+    double best = std::numeric_limits<double>::infinity();
+    double z = 0.0;
+    for (std::size_t i = 0; i < sim.node_count(); ++i) {
+      if (!sim.is_alive(i)) continue;
+      const double d2 = geo::distance_sq(corner, sim.positions()[i]);
+      if (d2 <= best) {
+        best = d2;
+        z = slice.value(sim.positions()[i]);
+      }
+    }
+    EXPECT_EQ(dt.vertex(c).z, z) << "corner " << c;
+  }
+}
+
 TEST(CmaDeltaTracker, TracksOwnTriangulationBitExactlyThroughChurn) {
   const field::AnalyticTimeField env([](double x, double y, double t) {
     return 10.0 + 0.04 * x + 0.03 * y +
@@ -359,12 +532,22 @@ TEST(CmaDeltaTracker, TracksOwnTriangulationBitExactlyThroughChurn) {
   }
   pts.push_back(pts[4]);
 
+  // A second stacked pair (nodes 1 and 10): one holder dies while the
+  // other keeps the shared vertex, later revives at its carcass, and then
+  // the other holder dies.
+  pts.push_back(pts[1]);
+
   CmaConfig cfg;
   CmaSimulation sim(env, kRegion, pts, cfg);
   net::FaultSchedule faults;
   faults.add_death(2, 4);
   faults.add_death(4, 7);
   faults.add_revival(6, 4);
+  faults.add_death(3, 10);    // One holder of the second pair leaves.
+  faults.add_death(5, 0);     // A death and a revival in one slot.
+  faults.add_revival(5, 7);
+  faults.add_revival(8, 10);  // The departed holder comes back...
+  faults.add_death(9, 1);     // ...and the one that stayed dies.
   sim.set_fault_schedule(std::move(faults));
 
   DeltaMetric metric(kRegion, 40);
@@ -373,11 +556,18 @@ TEST(CmaDeltaTracker, TracksOwnTriangulationBitExactlyThroughChurn) {
   // reconstruct_surface(sense_at_nodes()) exactly, so even the end-to-end
   // pipeline value matches bitwise.
   ASSERT_EQ(tracker.value(), sim.current_delta(metric));
+  const std::size_t res_sq = metric.resolution() * metric.resolution();
 
   for (std::size_t slot = 1; slot <= 12; ++slot) {
     SCOPED_TRACE("slot " + std::to_string(slot));
+    const std::size_t points0 = tracker.delta_stats().points_reevaluated;
+    const std::size_t events0 = tracker.delta_stats().events;
     sim.step();
     const double tracked = tracker.update(sim);
+    // The whole slot is one committed batch: each lattice point is
+    // re-evaluated at most once, however many nodes moved or died.
+    EXPECT_EQ(tracker.delta_stats().events - events0, 1u);
+    EXPECT_LE(tracker.delta_stats().points_reevaluated - points0, res_sq);
     // The contract: bit-identical to a fresh sweep of the tracker's OWN
     // triangulation (same point set as the from-scratch path, but its
     // Delaunay history differs, so only cocircular tie-breaks may vary).
@@ -386,15 +576,72 @@ TEST(CmaDeltaTracker, TracksOwnTriangulationBitExactlyThroughChurn) {
                            tracker.triangulation()));
     const double fresh = sim.current_delta(metric);
     EXPECT_NEAR(tracked, fresh, 0.1 * std::abs(fresh) + 1e-9);
+    expect_sensed_surface(sim, tracker.triangulation());
   }
 
   EXPECT_EQ(tracker.stats().slots, 12u);
-  EXPECT_EQ(tracker.stats().node_deaths, 2u);
-  EXPECT_EQ(tracker.stats().node_revivals, 1u);
+  EXPECT_EQ(tracker.stats().node_deaths, 5u);
+  EXPECT_EQ(tracker.stats().node_revivals, 3u);
   EXPECT_GT(tracker.stats().node_moves, 0u);
   EXPECT_GT(tracker.stats().merges, 0u);  // The stacked pair.
   EXPECT_EQ(tracker.delta_stats().retargets, 12u);
   EXPECT_EQ(tracker.delta_stats().rebuilds, 1u);  // Construction only.
+}
+
+/// Zero velocity: nobody moves, so every slot's batch is deaths,
+/// revivals and the z-only marks of the sensor refresh and the corners —
+/// the paths a moving swarm hides under its move cavities.
+void track_stationary_swarm(const field::TimeVaryingField& env) {
+  std::vector<geo::Vec2> pts;
+  for (int j = 0; j < 4; ++j) {
+    for (int i = 0; i < 4; ++i) {
+      pts.push_back({15.0 + i * 22.0, 12.0 + j * 25.0});
+    }
+  }
+  pts.push_back(pts[5]);  // Aliased pair (nodes 5 and 16).
+  CmaConfig cfg;
+  cfg.velocity = 0.0;
+  CmaSimulation sim(env, kRegion, pts, cfg);
+  net::FaultSchedule faults;
+  faults.add_death(2, 0);     // Corner 0's nearest node dies...
+  faults.add_death(3, 16);    // ...one holder of the pair leaves...
+  faults.add_revival(5, 0);   // ...corner 0's nearest node returns...
+  faults.add_death(6, 5);     // ...the other holder leaves too...
+  faults.add_revival(7, 16);  // ...and one comes back.
+  sim.set_fault_schedule(std::move(faults));
+
+  DeltaMetric metric(kRegion, 32);
+  CmaDeltaTracker tracker(sim, metric);
+  for (std::size_t slot = 1; slot <= 8; ++slot) {
+    SCOPED_TRACE("slot " + std::to_string(slot));
+    const std::size_t events0 = tracker.delta_stats().events;
+    sim.step();
+    const double tracked = tracker.update(sim);
+    ASSERT_EQ(tracked, metric.delta(field::FieldSlice(env, sim.time()),
+                                    tracker.triangulation()));
+    expect_sensed_surface(sim, tracker.triangulation());
+    // At most one commit per slot (none when nothing changed).
+    EXPECT_LE(tracker.delta_stats().events - events0, 1u);
+  }
+  EXPECT_EQ(tracker.stats().node_moves, 0u);
+  EXPECT_EQ(tracker.stats().node_deaths, 3u);
+  EXPECT_EQ(tracker.stats().node_revivals, 2u);
+}
+
+TEST(CmaDeltaTracker, StationaryNodesReSenseEverySlot) {
+  // Every unmoved node's z changes every slot.
+  track_stationary_swarm(field::AnalyticTimeField([](double x, double y,
+                                                     double t) {
+    return 5.0 + 0.02 * x * y / 100.0 + 2.0 * std::sin(0.08 * x - 0.4 * t) +
+           std::cos(0.06 * y + 0.25 * t);
+  }));
+  // A static field: node z never changes, so a corner re-valued by a
+  // death or revival is the only z-only change, and its star must be
+  // marked on its own.
+  track_stationary_swarm(field::AnalyticTimeField(
+      [](double x, double y, double) {
+        return 5.0 + 0.05 * x - 0.03 * y + 0.001 * x * y;
+      }));
 }
 
 }  // namespace

@@ -2,13 +2,18 @@
 // net/link_model.hpp) and the MessageBus liveness/accounting semantics.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "net/fault.hpp"
 #include "net/link_model.hpp"
 #include "net/message_bus.hpp"
+#include "numerics/rng.hpp"
 #include "obs/obs.hpp"
+#include "oracle/map_gilbert_elliott.hpp"
 
 namespace cps::net {
 namespace {
@@ -187,6 +192,85 @@ TEST(GilbertElliottLink, PerLinkStateIsIndependent) {
 }
 
 // --- MessageBus liveness -------------------------------------------------
+
+/// Drives a production GilbertElliottLink and the map-based oracle with
+/// one seeded churn sequence — nodes drifting in and out of range, long
+/// fades, link_is_bad probes (including never-probed links) — and asserts
+/// identical outcomes.
+void expect_same_as_map_oracle(LinkModel& flat_model, LinkModel& map_model,
+                               std::uint64_t seed, std::size_t attempts) {
+  auto& flat = dynamic_cast<GilbertElliottLink&>(flat_model);
+  auto& map = dynamic_cast<oracle::MapGilbertElliottLink&>(map_model);
+  constexpr std::size_t kNodes = 24;
+  constexpr auto kLast = static_cast<std::int64_t>(kNodes) - 1;
+  num::Rng rng(seed);
+  std::vector<Vec2> pos(kNodes);
+  for (auto& p : pos) p = {rng.uniform(0.0, 30.0), rng.uniform(0.0, 30.0)};
+  for (std::size_t a = 0; a < attempts; ++a) {
+    const auto from = static_cast<NodeId>(rng.uniform_int(0, kLast));
+    const auto to = static_cast<NodeId>(rng.uniform_int(0, kLast));
+    if (rng.uniform() < 0.05) {
+      // Churn: one node jumps, so links enter and leave the range.
+      pos[from] = {rng.uniform(0.0, 30.0), rng.uniform(0.0, 30.0)};
+    }
+    const bool got = flat.transmit(from, to, pos[from], pos[to]);
+    EXPECT_EQ(got, map.transmit(from, to, pos[from], pos[to]))
+        << "attempt " << a;
+    const auto pf = static_cast<NodeId>(rng.uniform_int(0, kLast + 4));
+    const auto pt = static_cast<NodeId>(rng.uniform_int(0, kLast + 4));
+    EXPECT_EQ(flat.link_is_bad(pf, pt), map.link_is_bad(pf, pt))
+        << "probe " << pf << "->" << pt << " after attempt " << a;
+  }
+  // The stored state is exactly the live fades.
+  std::size_t oracle_fades = 0;
+  for (NodeId f = 0; f < kNodes; ++f) {
+    for (NodeId t = 0; t < kNodes; ++t) {
+      if (map.link_is_bad(f, t)) ++oracle_fades;
+    }
+  }
+  EXPECT_EQ(flat.faded_links(), oracle_fades);
+}
+
+TEST(GilbertElliottLink, FlatStateMatchesMapOracle) {
+  GilbertElliottLink::Params p;
+  p.p_good_to_bad = 0.1;
+  p.p_bad_to_good = 0.02;  // Long fades: ~50 attempts per burst.
+  p.loss_good = 0.05;
+  p.loss_bad = 0.85;
+  GilbertElliottLink flat(12.0, p, 77);
+  oracle::MapGilbertElliottLink map(12.0, p, 77);
+  expect_same_as_map_oracle(flat, map, 5, 4000);
+
+  // Mid-stream clones carry the RNG and every live fade: both copies keep
+  // matching the oracle's copies, and the originals are unaffected.
+  const std::unique_ptr<LinkModel> flat_copy = flat.clone();
+  const std::unique_ptr<LinkModel> map_copy = map.clone();
+  expect_same_as_map_oracle(*flat_copy, *map_copy, 6, 4000);
+  expect_same_as_map_oracle(flat, map, 7, 4000);
+
+  // Memory follows the live fades, not every link ever probed.
+  EXPECT_LT(flat.faded_links(), map.links_tracked());
+}
+
+TEST(GilbertElliottLink, FadedLinksRecoverAndAreForgotten) {
+  GilbertElliottLink::Params p;
+  p.p_good_to_bad = 1.0;  // Every attempt flips the state.
+  p.p_bad_to_good = 1.0;
+  GilbertElliottLink link(10.0, p, 3);
+  const Vec2 a{0.0, 0.0};
+  const Vec2 b{1.0, 0.0};
+  EXPECT_EQ(link.faded_links(), 0u);
+  link.transmit(4, 9, a, b);
+  EXPECT_TRUE(link.link_is_bad(4, 9));
+  EXPECT_FALSE(link.link_is_bad(9, 4));  // Directed.
+  EXPECT_EQ(link.faded_links(), 1u);
+  link.transmit(4, 9, a, b);
+  EXPECT_FALSE(link.link_is_bad(4, 9));
+  EXPECT_EQ(link.faded_links(), 0u);
+  // Out of range: no state touched, no draw.
+  link.transmit(4, 9, a, Vec2{50.0, 0.0});
+  EXPECT_EQ(link.faded_links(), 0u);
+}
 
 TEST(MessageBus, DeadNodesNeitherSendNorReceive) {
   MessageBus<int> bus(3, DiskRadio(10.0));

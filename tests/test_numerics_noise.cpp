@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 namespace cps::num {
 namespace {
@@ -81,6 +85,44 @@ TEST(ValueNoise, FbmValidation) {
   const ValueNoise n(23, 0.1);
   EXPECT_THROW(n.fbm(0.0, 0.0, 0), std::invalid_argument);
   EXPECT_THROW(n.fbm(0.0, 0.0, -2), std::invalid_argument);
+}
+
+TEST(ValueNoise, FbmRowMatchesFbmBitwise) {
+  const ValueNoise n(0xa5a5ULL, 0.08);
+  // Rows straddling zero, rows on exact cell edges (integer multiples of
+  // the cell size 1 / frequency at every octave), fine and coarse pitch,
+  // ascending and descending abscissae, and repeated points.
+  std::vector<std::vector<double>> rows;
+  std::vector<double> row;
+  for (int i = -40; i <= 40; ++i) row.push_back(0.37 * i);
+  rows.push_back(row);
+  row.clear();
+  for (int i = -8; i <= 8; ++i) row.push_back(12.5 * i);  // Cell edges.
+  rows.push_back(row);
+  row.clear();
+  for (int i = 0; i < 30; ++i) row.push_back(95.0 - 3.3 * i);  // Descending.
+  rows.push_back(row);
+  rows.push_back({-1e-300, 0.0, -0.0, 6.25, 6.25, 6.25 - 1e-12, 3.125});
+  rows.push_back({});
+  for (const double y : {-37.5, -0.3, 0.0, 12.5, 41.9, 100.0}) {
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      for (const int octaves : {1, 3, 5}) {
+        std::vector<double> out(rows[r].size(), -7.0);
+        n.fbm_row(y, rows[r], octaves, out.data());
+        for (std::size_t i = 0; i < rows[r].size(); ++i) {
+          SCOPED_TRACE("y=" + std::to_string(y) + " row " +
+                       std::to_string(r) + " i=" + std::to_string(i) +
+                       " octaves=" + std::to_string(octaves));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(out[i]),
+                    std::bit_cast<std::uint64_t>(
+                        n.fbm(rows[r][i], y, octaves)));
+        }
+      }
+    }
+  }
+  std::vector<double> out(1);
+  EXPECT_THROW(n.fbm_row(0.0, std::vector<double>{1.0}, 0, out.data()),
+               std::invalid_argument);
 }
 
 }  // namespace

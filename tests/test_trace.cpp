@@ -1,9 +1,19 @@
 // Tests for the synthetic GreenOrbs trace and trace IO (trace/*).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <new>
+#include <numbers>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "numerics/noise.hpp"
+#include "numerics/rng.hpp"
+#include "parallel/thread_pool.hpp"
 #include "trace/greenorbs.hpp"
 #include "trace/trace_io.hpp"
 
@@ -125,6 +135,158 @@ TEST(GreenOrbsField, SnapshotMatchesPointQueries) {
       const auto p = grid.sample_position(i, j);
       EXPECT_NEAR(grid.at(i, j), f.value(p, 600.0), 1e-12);
     }
+  }
+}
+
+/// The light formula of trace/greenorbs.hpp written out per point, with
+/// every per-instant term recomputed on each call: the reference the
+/// field's cached per-instant state must reproduce bit for bit.
+class ReferenceLight {
+ public:
+  explicit ReferenceLight(const GreenOrbsConfig& c)
+      : c_(c), noise_(c.seed ^ 0xa5a5a5a5ULL, c.noise_frequency) {
+    num::Rng rng(c.seed);
+    for (int i = 0; i < c.gap_count; ++i) {
+      Gap g;
+      g.center0 = {rng.uniform(c.region.x0, c.region.x1),
+                   rng.uniform(c.region.y0, c.region.y1)};
+      const double heading = rng.uniform(0.0, 2.0 * std::numbers::pi);
+      g.drift = geo::Vec2{std::cos(heading), std::sin(heading)} *
+                (c.drift_speed * rng.uniform(0.5, 1.5));
+      g.amplitude = rng.uniform(c.amplitude_min, c.amplitude_max);
+      g.sigma = rng.uniform(c.sigma_min, c.sigma_max);
+      g.flutter_phase = rng.uniform(0.0, 2.0 * std::numbers::pi);
+      gaps_.push_back(g);
+    }
+  }
+
+  double operator()(geo::Vec2 p, double t) const {
+    double env = 0.0;
+    if (t > c_.sunrise && t < c_.sunset) {
+      const double phase = (t - c_.sunrise) / (c_.sunset - c_.sunrise);
+      env = std::sin(std::numbers::pi * phase);
+    }
+    if (env == 0.0) return 0.0;
+    const auto reflect = [](double v, double lo, double hi) {
+      const double span = hi - lo;
+      double u = std::fmod(v - lo, 2.0 * span);
+      if (u < 0.0) u += 2.0 * span;
+      return lo + (u <= span ? u : 2.0 * span - u);
+    };
+    double light = c_.base_light;
+    for (const Gap& g : gaps_) {
+      const double flutter =
+          1.0 + c_.flutter_fraction *
+                    std::sin(2.0 * std::numbers::pi * t / c_.flutter_period +
+                             g.flutter_phase);
+      geo::Vec2 center = g.center0 + g.drift * t;
+      center.x = reflect(center.x, c_.region.x0, c_.region.x1);
+      center.y = reflect(center.y, c_.region.y0, c_.region.y1);
+      const double r2 = geo::distance_sq(p, center);
+      light += g.amplitude * flutter *
+               std::exp(-r2 / (2.0 * g.sigma * g.sigma));
+    }
+    light += c_.noise_amplitude * noise_.fbm(p.x, p.y, 3);
+    return std::max(0.0, env * light);
+  }
+
+ private:
+  struct Gap {
+    geo::Vec2 center0, drift;
+    double amplitude = 0.0, sigma = 0.0, flutter_phase = 0.0;
+  };
+  GreenOrbsConfig c_;
+  std::vector<Gap> gaps_;
+  num::ValueNoise noise_;
+};
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// value() at scattered points and value_row() over one row, both against
+/// the reference, at instant t.
+void expect_matches_reference(const GreenOrbsField& f,
+                              const ReferenceLight& ref, double t) {
+  SCOPED_TRACE("t=" + std::to_string(t));
+  for (int i = 0; i < 12; ++i) {
+    const geo::Vec2 p{8.3 * i - 2.0, 97.0 - 7.9 * i};
+    ASSERT_EQ(bits_of(f.value(p, t)), bits_of(ref(p, t))) << "point " << i;
+  }
+  std::vector<double> xs;
+  for (int i = 0; i <= 40; ++i) xs.push_back(-1.0 + 2.55 * i);
+  std::vector<double> out(xs.size());
+  const double y = 31.0 + 0.01 * t;
+  f.value_row(y, xs, t, out.data());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    ASSERT_EQ(bits_of(out[i]), bits_of(ref({xs[i], y}, t))) << "row " << i;
+  }
+}
+
+TEST(GreenOrbsField, PerInstantStateMatchesReferenceAcrossInstants) {
+  const GreenOrbsConfig cfg;  // The paper-scale default: ten gaps.
+  const GreenOrbsField f(cfg);
+  const ReferenceLight ref(cfg);
+  // Interleaved instants on one thread: every switch must rebuild the
+  // cached state, every return to an earlier instant too.  Includes the
+  // dark envelope edges and a negative zero.
+  for (const double t : {600.0, 601.0, 600.0, 612.5, 390.0, 1050.0, 601.0,
+                         600.0 + 1e-9, 600.0, -0.0, 0.0, 720.0}) {
+    expect_matches_reference(f, ref, t);
+  }
+  // Two fields interleaved at the same instant.
+  GreenOrbsConfig other = cfg;
+  other.seed = 7;
+  const GreenOrbsField g(other);
+  const ReferenceLight ref_g(other);
+  for (int round = 0; round < 3; ++round) {
+    expect_matches_reference(f, ref, 640.0);
+    expect_matches_reference(g, ref_g, 640.0);
+  }
+}
+
+TEST(GreenOrbsField, RebuiltAtSameAddressDoesNotReuseState) {
+  GreenOrbsConfig a = small_config();
+  GreenOrbsConfig b = small_config();
+  b.seed = 4242;
+  b.base_light = 0.9;
+  alignas(GreenOrbsField) unsigned char storage[sizeof(GreenOrbsField)];
+  auto* fa = new (storage) GreenOrbsField(a);
+  expect_matches_reference(*fa, ReferenceLight(a), 600.0);
+  fa->~GreenOrbsField();
+  // Same address, same instant, different content: an address-keyed cache
+  // would serve the destroyed field's gaps here.
+  auto* fb = new (storage) GreenOrbsField(b);
+  ASSERT_EQ(static_cast<void*>(fa), static_cast<void*>(fb));
+  expect_matches_reference(*fb, ReferenceLight(b), 600.0);
+  fb->~GreenOrbsField();
+}
+
+TEST(GreenOrbsField, PerInstantStateIsPerThread) {
+  struct PoolGuard {
+    ~PoolGuard() { par::set_thread_count(1); }
+  } guard;
+  par::set_thread_count(4);
+  const GreenOrbsConfig cfg;
+  const GreenOrbsField f(cfg);
+  const ReferenceLight ref(cfg);
+  // Each index evaluates at its own instant, so pool threads keep
+  // switching instants underneath each other.
+  constexpr std::size_t kJobs = 96;
+  std::vector<double> got(kJobs), row_got(kJobs);
+  par::parallel_for(
+      kJobs,
+      [&](std::size_t i) {
+        const double t = 600.0 + static_cast<double>(i % 7);
+        const geo::Vec2 p{1.0 * static_cast<double>(i), 50.0};
+        got[i] = f.value(p, t);
+        const std::vector<double> xs{p.x};
+        f.value_row(p.y, xs, t, &row_got[i]);
+      },
+      /*grain=*/1);
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    const double t = 600.0 + static_cast<double>(i % 7);
+    const double want = ref({1.0 * static_cast<double>(i), 50.0}, t);
+    EXPECT_EQ(bits_of(got[i]), bits_of(want)) << i;
+    EXPECT_EQ(bits_of(row_got[i]), bits_of(want)) << i;
   }
 }
 

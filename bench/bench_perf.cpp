@@ -478,7 +478,8 @@ Record run_delta_incremental(const field::Field& frame, std::size_t k,
 
   for (const char* name :
        {"core.delta.inc_events", "core.delta.inc_points",
-        "core.delta.inc_rows", "core.delta.inc_keep_assigns",
+        "core.delta.inc_rows", "core.delta.inc_span_assigns",
+        "core.delta.inc_keep_assigns",
         "core.delta.inc_relocates", "core.delta.inc_rebuilds",
         "core.delta.inc_retargets", "geometry.delaunay.locates"}) {
     rec.counters.emplace_back(name, cval(name));

@@ -57,9 +57,8 @@ void IncrementalDelta::rebuild(const geo::Delaunay& dt) {
   chunk_sums_.assign(chunks, 0.0);
   point_epoch_.assign(n, 0);
   row_epoch_.assign(res_, 0);
-  chunk_epoch_.assign(chunks, 0);
   epoch_ = 0;
-  dirty_points_.clear();
+  batch_tris_.clear();
   batch_open_ = false;
   batch_topology_ = false;
 
@@ -99,8 +98,7 @@ void IncrementalDelta::retarget(const DeltaMetric& metric,
 void IncrementalDelta::open_batch() {
   if (batch_open_) return;
   batch_open_ = true;
-  ++epoch_;
-  dirty_points_.clear();
+  epoch_ += 2;
 }
 
 void IncrementalDelta::mark_dirty(const geo::Delaunay& dt,
@@ -109,6 +107,7 @@ void IncrementalDelta::mark_dirty(const geo::Delaunay& dt,
   std::size_t rows = 0;
   for (const int tid : tris) {
     if (!dt.triangle_alive(tid)) continue;
+    batch_tris_.push_back(tid);
     const auto& t = dt.triangle(tid);
     detail::for_each_covered_range(
         dt.vertex(t.v[0]).pos, dt.vertex(t.v[1]).pos, dt.vertex(t.v[2]).pos,
@@ -120,11 +119,7 @@ void IncrementalDelta::mark_dirty(const geo::Delaunay& dt,
           }
           const std::size_t base = row * res_;
           for (long i = ilo; i <= ihi; ++i) {
-            const std::size_t k = base + static_cast<std::size_t>(i);
-            if (point_epoch_[k] != epoch_) {
-              point_epoch_[k] = epoch_;
-              dirty_points_.push_back(static_cast<std::uint32_t>(k));
-            }
+            point_epoch_[base + static_cast<std::size_t>(i)] = epoch_;
           }
         });
   }
@@ -168,6 +163,51 @@ void IncrementalDelta::mark_z(const geo::Delaunay& dt,
   mark_dirty(dt, star_triangles);
 }
 
+std::size_t IncrementalDelta::assign_spans(const geo::Delaunay& dt) {
+  // A triangle marked twice (or marked, freed and recycled into the same
+  // id) is scanned once, against its geometry now.
+  std::sort(batch_tris_.begin(), batch_tris_.end());
+  batch_tris_.erase(std::unique(batch_tris_.begin(), batch_tris_.end()),
+                    batch_tris_.end());
+  const std::span<const double> xs = lat_.xs();
+  const auto res = static_cast<long>(res_);
+  const std::uint32_t resolved = epoch_ + 1;
+  std::size_t assigned = 0;
+  for (const int tid : batch_tris_) {
+    if (!dt.triangle_alive(tid)) continue;
+    const auto& t = dt.triangle(tid);
+    const geo::Vec2 a = dt.vertex(t.v[0]).pos;
+    const geo::Vec2 b = dt.vertex(t.v[1]).pos;
+    const geo::Vec2 c = dt.vertex(t.v[2]).pos;
+    const double za = dt.vertex(t.v[0]).z;
+    const double zb = dt.vertex(t.v[1]).z;
+    const double zc = dt.vertex(t.v[2]).z;
+    const double total = geo::orient2d_value(a, b, c);
+    // The same conservative scan conversion the sweep emits its spans
+    // with, consumed as it is produced: no span list is stored.
+    detail::for_each_covered_range(
+        a, b, c, region_, lat_, res, [&](long j, long ilo, long ihi) {
+          const auto row = static_cast<std::size_t>(j);
+          const double y = lat_.y(row);
+          const std::size_t base = row * res_;
+          for (long i = ilo; i <= ihi; ++i) {
+            const std::size_t k = base + static_cast<std::size_t>(i);
+            if (point_epoch_[k] != epoch_) continue;
+            const geo::Vec2 p{xs[static_cast<std::size_t>(i)], y};
+            if (!detail::strictly_inside(a, b, c, p)) continue;
+            assign_[k] = tid;
+            strict_[k] = 1;
+            interp_[k] = detail::interpolate_point(a.x, a.y, b.x, b.y, c.x,
+                                                   c.y, za, zb, zc, total,
+                                                   p.x, p.y);
+            point_epoch_[k] = resolved;
+            ++assigned;
+          }
+        });
+  }
+  return assigned;
+}
+
 void IncrementalDelta::commit(const geo::Delaunay& dt) {
   if (!batch_open_) return;
   batch_open_ = false;
@@ -175,71 +215,86 @@ void IncrementalDelta::commit(const geo::Delaunay& dt) {
   batch_topology_ = false;
   ++stats_.events;
   CPS_COUNT("core.delta.inc_events", 1);
-  // A batch with nothing marked (a pure duplicate hit) leaves every
-  // assignment and surface value as it was.
-  if (!reassign && dirty_points_.empty()) return;
 
+  std::size_t span_assigns = 0;
   if (reassign) {
     // Non-strict points sit on edges/vertices, where assignment is
     // hint-dependent: any upstream change can shift the hint they would
     // be walked with, so they are re-walked at every topology commit.
     for (const std::uint32_t k : fallback_) {
-      if (point_epoch_[k] != epoch_) {
-        point_epoch_[k] = epoch_;
-        dirty_points_.push_back(k);
-      }
+      point_epoch_[k] = epoch_;
+      row_epoch_[k / res_] = epoch_;
     }
-  }
-  // Ascending order: a relocation at k reads assign_[k - 1], which must
-  // already hold its final (this-batch) value to replay the fresh sweep's
-  // hint chain.
-  std::sort(dirty_points_.begin(), dirty_points_.end());
-
-  const std::span<const double> xs = lat_.xs();
-  dirty_chunks_.clear();
-  for (const std::uint32_t k : dirty_points_) {
-    const std::size_t j = k / res_;
-    const std::size_t i = k % res_;
-    const geo::Vec2 p{xs[i], lat_.y(j)};
-    if (reassign) {
-      const int old_tid = assign_[k];
-      // A strict assignment is kept only while its triangle is alive and
-      // still strictly contains the point.  Strict containment is unique,
-      // so this is exactly the triangle a fresh span sweep would fast-
-      // assign — even when the slot was recycled into new geometry.
-      const bool keep = strict_[k] != 0 && dt.triangle_alive(old_tid) &&
-                        detail::strictly_inside(dt, old_tid, p);
-      if (keep) {
-        ++stats_.keeps;
-        CPS_COUNT("core.delta.inc_keep_assigns", 1);
-      } else {
-        const int hint = chunk_first(k) ? -1 : assign_[k - 1];
-        const int tid = dt.locate_from(p, hint);
-        assign_[k] = tid;
-        strict_[k] = detail::strictly_inside(dt, tid, p) ? 1 : 0;
-        ++stats_.relocates;
-        CPS_COUNT("core.delta.inc_relocates", 1);
-      }
-    }
-    interp_[k] = detail::interpolate_point(dt, assign_[k], p);
-    const auto c = static_cast<std::uint32_t>(chunk_of(k));
-    if (chunk_epoch_[c] != epoch_) {
-      chunk_epoch_[c] = epoch_;
-      dirty_chunks_.push_back(c);
-    }
-  }
-  if (reassign) {
-    // Every previously non-strict point is in the dirty set, so the new
-    // fallback list is exactly the dirty points that ended non-strict
-    // (already in ascending order).
+    // Every previously non-strict point is dirty now, so the new
+    // fallback list is exactly the dirty points that end non-strict,
+    // collected below in ascending order.
     fallback_.clear();
-    for (const std::uint32_t k : dirty_points_) {
-      if (strict_[k] == 0) fallback_.push_back(k);
-    }
+    span_assigns = assign_spans(dt);
   }
-  for (const std::uint32_t c : dirty_chunks_) refold_chunk(c);
-  stats_.points_reevaluated += dirty_points_.size();
-  CPS_COUNT("core.delta.inc_points", dirty_points_.size());
+  batch_tris_.clear();
+
+  // The remaining dirty points, row by row in ascending point order: a
+  // relocation at k reads assign_[k - 1], which already holds its final
+  // (this-batch) value — span-tier hits were assigned above, earlier
+  // points in this loop — so the fresh sweep's hint chain is replayed.
+  const std::span<const double> xs = lat_.xs();
+  std::size_t visited = 0;
+  std::size_t keeps = 0;
+  std::size_t relocates = 0;
+  std::size_t last_chunk = chunk_sums_.size();
+  for (std::size_t j = 0; j < res_; ++j) {
+    if (row_epoch_[j] != epoch_) continue;
+    const double y = lat_.y(j);
+    const std::size_t base = j * res_;
+    for (std::size_t i = 0; i < res_; ++i) {
+      const std::size_t k = base + i;
+      if (point_epoch_[k] != epoch_) continue;
+      ++visited;
+      const geo::Vec2 p{xs[i], y};
+      if (reassign) {
+        const int old_tid = assign_[k];
+        // A strict assignment is kept only while its triangle is alive
+        // and still strictly contains the point.  Strict containment is
+        // unique, so this is exactly the triangle a fresh span sweep
+        // would fast-assign — even when the slot was recycled into new
+        // geometry.
+        if (strict_[k] != 0 && dt.triangle_alive(old_tid) &&
+            detail::strictly_inside(dt, old_tid, p)) {
+          ++keeps;
+        } else {
+          const int hint = chunk_first(k) ? -1 : assign_[k - 1];
+          const int tid = dt.locate_from(p, hint);
+          assign_[k] = tid;
+          strict_[k] = detail::strictly_inside(dt, tid, p) ? 1 : 0;
+          if (strict_[k] == 0) {
+            fallback_.push_back(static_cast<std::uint32_t>(k));
+          }
+          ++relocates;
+        }
+      }
+      interp_[k] = detail::interpolate_point(dt, assign_[k], p);
+    }
+    // Rows ascend, so each dirty chunk is refolded once, after its last
+    // dirty row.
+    const std::size_t c = chunk_of(base);
+    if (c != last_chunk && last_chunk != chunk_sums_.size()) {
+      refold_chunk(last_chunk);
+    }
+    last_chunk = c;
+  }
+  if (last_chunk != chunk_sums_.size()) refold_chunk(last_chunk);
+
+  const std::size_t points = span_assigns + visited;
+  stats_.span_assigns += span_assigns;
+  stats_.keeps += keeps;
+  stats_.relocates += relocates;
+  stats_.points_reevaluated += points;
+  if (span_assigns != 0) {
+    CPS_COUNT("core.delta.inc_span_assigns", span_assigns);
+  }
+  if (keeps != 0) CPS_COUNT("core.delta.inc_keep_assigns", keeps);
+  if (relocates != 0) CPS_COUNT("core.delta.inc_relocates", relocates);
+  if (points != 0) CPS_COUNT("core.delta.inc_points", points);
 }
 
 double IncrementalDelta::value() const noexcept {

@@ -21,13 +21,18 @@
 //    are at that event (created fans cover every removed triangle, stars
 //    cover every z change), so a later recycling of a triangle id cannot
 //    hide an earlier change;
-//  * assignments are re-derived through the sweep's own rules — a stored
-//    strict assignment is kept only while its triangle is alive and still
-//    strictly contains the point (strict containment is unique and
-//    hint-independent, so this holds even for a recycled id), every other
-//    dirty point replays locate_from with the exact hint the fresh sweep
-//    would carry (the previous point's assignment in the captured chunk
-//    layout, -1 at a chunk head);
+//  * assignments are re-derived through the sweep's own rules, in three
+//    tiers.  (a) Span tier: the batch's marked triangles that are still
+//    alive are scan-converted again, and every dirty point strictly
+//    inside one of them takes it directly — strict containment is unique
+//    and hint-independent, so this is the triangle a fresh sweep assigns.
+//    (b) Keep: a stored strict assignment survives while its triangle is
+//    alive and still strictly contains the point (safe even for a
+//    recycled id).  (c) Walk: every remaining dirty point (guard-band
+//    edge/vertex points) replays locate_from with the exact hint the fresh
+//    sweep would carry (the previous point's assignment in the captured
+//    chunk layout, -1 at a chunk head), visiting the dirty rows in
+//    ascending point order;
 //  * non-strict (edge/vertex) points are re-walked at EVERY commit that
 //    holds a topology event, dirty region or not — their assignment is
 //    hint-dependent, so staleness is never allowed to accumulate through
@@ -69,6 +74,7 @@ class IncrementalDelta {
     std::size_t events = 0;              ///< Committed batches.
     std::size_t points_reevaluated = 0;  ///< Lattice cells re-assigned/-interpolated.
     std::size_t rows_touched = 0;        ///< Lattice rows containing such cells.
+    std::size_t span_assigns = 0;        ///< Dirty points strictly inside a marked triangle.
     std::size_t keeps = 0;               ///< Dirty points whose assignment survived.
     std::size_t relocates = 0;           ///< Dirty points re-walked via locate_from.
     std::size_t rebuilds = 0;            ///< Full sweeps (construction + rebase).
@@ -107,8 +113,10 @@ class IncrementalDelta {
   /// Folds the open batch into value(): every marked lattice cell is
   /// re-assigned (only when the batch holds a topology event) and
   /// re-interpolated against `dt`, and its chunk re-folded.  A batch of
-  /// any length costs at most one pass over the union of its marks plus
-  /// one re-walk of the non-strict points.  No-op without an open batch.
+  /// any length costs one scan of its alive marked triangles, one pass
+  /// over the dirty rows, and one re-walk of the points neither of those
+  /// resolves (guard-band and non-strict points).  No-op without an open
+  /// batch.
   void commit(const geo::Delaunay& dt);
 
   /// One-event batch: mark(dt, r) then commit(dt).
@@ -145,8 +153,12 @@ class IncrementalDelta {
   /// Opens a batch on the first mark after a commit (bumps the epoch).
   void open_batch();
   /// Marks every lattice cell covered by `tris` dirty (epoch-stamped) and
-  /// appends fresh indices to dirty_points_.
+  /// records the alive ones for the commit's span tier.
   void mark_dirty(const geo::Delaunay& dt, std::span<const int> tris);
+  /// Span tier: assigns (and interpolates) every dirty point strictly
+  /// inside one of the batch's marked triangles that is still alive, and
+  /// stamps it resolved.  Returns the number of points assigned.
+  std::size_t assign_spans(const geo::Delaunay& dt);
   bool chunk_first(std::size_t k) const noexcept;
   std::size_t chunk_of(std::size_t k) const noexcept;
   void refold_chunk(std::size_t c);
@@ -167,13 +179,18 @@ class IncrementalDelta {
   /// event; typically O(res) edge crossings).
   std::vector<std::uint32_t> fallback_;
 
-  // Epoch-stamped dirty scratch (avoids clearing res² flags per event).
+  // Epoch-stamped dirty scratch (avoids clearing res² flags per batch).
+  // A batch owns two stamps: point_epoch_[k] == epoch_ marks a dirty
+  // point, epoch_ + 1 one the span tier already resolved; epochs advance
+  // by 2 per batch.  row_epoch_[j] == epoch_ marks a row holding dirty
+  // points — the commit visits those rows in ascending order, which is
+  // the point order the walk's hint chain needs, without sorting.
   std::vector<std::uint32_t> point_epoch_;
   std::vector<std::uint32_t> row_epoch_;
-  std::vector<std::uint32_t> chunk_epoch_;
   std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> dirty_points_;
-  std::vector<std::uint32_t> dirty_chunks_;
+  /// The open batch's marked triangles (alive at their mark).  Empty
+  /// between batches, so copying a committed tracker copies no scratch.
+  std::vector<int> batch_tris_;
   bool batch_open_ = false;
   /// The open batch holds an insert/remove/move: assignments must be
   /// re-derived, not just re-interpolated.

@@ -8,6 +8,7 @@
 
 #include <memory>
 
+#include "core/cavity_fan.hpp"
 #include "core/curvature.hpp"
 #include "core/delta_incremental.hpp"
 #include "geometry/delaunay.hpp"
@@ -222,6 +223,21 @@ class NearestNetGrid {
   std::vector<double> cell_max_;
 };
 
+/// Rejects a request FRA cannot plan, naming the field.  The checks are
+/// written so NaN fails them: every comparison with NaN is false, so
+/// `rc <= 0` alone would let a NaN rc through.
+void validate(const PlanRequest& request) {
+  if (!std::isfinite(request.rc) || request.rc <= 0.0) {
+    throw std::invalid_argument("FRA: request.rc must be finite and > 0");
+  }
+  const num::Rect& r = request.region;
+  if (!std::isfinite(r.x0) || !std::isfinite(r.y0) || !std::isfinite(r.x1) ||
+      !std::isfinite(r.y1) || !(r.width() > 0.0) || !(r.height() > 0.0)) {
+    throw std::invalid_argument(
+        "FRA: request.region must be finite and non-empty");
+  }
+}
+
 }  // namespace
 
 FraPlanner::FraPlanner(const FraConfig& config) : config_(config) {
@@ -240,7 +256,7 @@ Deployment FraPlanner::plan(const field::Field& reference,
 
 FraResult FraPlanner::plan_detailed(const field::Field& reference,
                                     const PlanRequest& request) {
-  if (request.rc <= 0.0) throw std::invalid_argument("FRA: rc <= 0");
+  validate(request);
   FraResult result;
   if (request.k == 0) return result;
 
@@ -507,6 +523,9 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
     }
   };
 
+  // Rebucket scratch, reused across insertions.
+  std::vector<std::size_t> displaced;
+  detail::CavityFan fan;  // One insertion's created triangles.
   const auto rebucket_after = [&](const geo::InsertResult& ins) {
     if (!ins.inserted) {
       if (!ins.z_changed) return;
@@ -531,7 +550,7 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
     if (buckets.size() < dt.triangle_slots()) {
       buckets.resize(dt.triangle_slots() * 2);
     }
-    std::vector<std::size_t> displaced;
+    displaced.clear();
     for (const int dead : ins.removed_triangles) {
       auto& bucket = buckets[static_cast<std::size_t>(dead)];
       displaced.insert(displaced.end(), bucket.begin(), bucket.end());
@@ -543,21 +562,20 @@ FraResult FraPlanner::plan_detailed(const field::Field& reference,
     if (heap_rescores && heap.valid() && is_storm(displaced.size())) {
       heap.invalidate();
     }
+    fan.build(dt, ins.created_triangles);
     for (const std::size_t ci : displaced) {
       auto& c = candidates[ci];
-      c.triangle = -1;
-      for (const int fresh : ins.created_triangles) {
-        if (dt.triangle_geometry(fresh).contains(c.pos)) {
-          c.triangle = fresh;
-          break;
-        }
-      }
-      if (c.triangle == -1) {
+      const detail::CavityFan::Hit hit = fan.locate(c.pos);
+      if (hit.triangle != -1) {
+        c.triangle = hit.triangle;
+        c.error = std::abs(c.f_value - hit.value);
+      } else {
         // Numerical corner case: the point sits exactly on the cavity
         // boundary; a full locate resolves it.
         c.triangle = dt.locate(c.pos);
+        c.error =
+            std::abs(c.f_value - interpolate_in(dt, c.triangle, c.pos));
       }
-      c.error = std::abs(c.f_value - interpolate_in(dt, c.triangle, c.pos));
       buckets[static_cast<std::size_t>(c.triangle)].push_back(ci);
       // Used candidates keep their kUsedScore sentinel — their error is
       // dead state as far as selection goes.

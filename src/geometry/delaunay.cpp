@@ -51,6 +51,19 @@ int Delaunay::alloc_triangle() {
   return static_cast<int>(triangles_.size()) - 1;
 }
 
+int Delaunay::alloc_vertex(Vec2 p, double z) {
+  if (!free_vertices_.empty()) {
+    const int id = free_vertices_.back();
+    free_vertices_.pop_back();
+    vertices_[static_cast<std::size_t>(id)] = DtVertex{p, z};
+    vertex_alive_[static_cast<std::size_t>(id)] = 1;
+    return id;
+  }
+  vertices_.push_back(DtVertex{p, z});
+  vertex_alive_.push_back(1);
+  return static_cast<int>(vertices_.size()) - 1;
+}
+
 void Delaunay::free_triangle(int id) {
   auto& t = triangles_[static_cast<std::size_t>(id)];
   t.alive = false;
@@ -217,9 +230,7 @@ InsertResult Delaunay::insert(Vec2 p, double z, double duplicate_tol) {
     }
   }
 
-  const int new_vertex = static_cast<int>(vertices_.size());
-  vertices_.push_back(DtVertex{p, z});
-  vertex_alive_.push_back(1);
+  const int new_vertex = alloc_vertex(p, z);
 
   // Grow the cavity from the containing triangle.  The containing triangle
   // is force-included: mathematically p (strictly inside or on an edge of
@@ -541,6 +552,7 @@ RemoveResult Delaunay::remove(int vertex) {
   // the next locate() needs (alive or -1).
   for (const int tid : result.removed_triangles) free_triangle(tid);
   vertex_alive_[static_cast<std::size_t>(vertex)] = 0;
+  free_vertices_.push_back(vertex);
 
   CPS_COUNT("geometry.delaunay.removes", 1);
   CPS_COUNT("geometry.delaunay.star_triangles",

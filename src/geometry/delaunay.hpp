@@ -73,7 +73,9 @@ struct InsertResult {
 
 /// Outcome of a vertex removal.
 struct RemoveResult {
-  int vertex = -1;  ///< The now-dead vertex id (slots are never reused).
+  /// The now-dead vertex id.  Its slot is recycled by a later insert (the
+  /// next one, when no other removal intervenes).
+  int vertex = -1;
   /// The removed vertex's former star / the ear-clipped hole fan.  Ids in
   /// the two lists never overlap (ears are allocated before the star is
   /// freed), and the created triangles cover exactly the star's region.
@@ -83,8 +85,9 @@ struct RemoveResult {
 
 /// Outcome of a relocation (remove + insert fused into one report).
 struct MoveResult {
-  /// Vertex id now holding the moved sample: a fresh id normally, an
-  /// existing vertex's id when the destination duplicated one.
+  /// Vertex id now holding the moved sample: normally the moved vertex's
+  /// own id (the removal frees its slot and the insertion recycles it),
+  /// an existing vertex's id when the destination duplicated one.
   int vertex = -1;
   /// False when the destination coincided with an existing vertex (the
   /// move degenerated to a removal plus a z update on that vertex).
@@ -117,11 +120,13 @@ class Delaunay {
   InsertResult insert(Vec2 p, double z, double duplicate_tol = 1e-9);
 
   /// Removes a previously inserted vertex and re-triangulates its star's
-  /// hole with a Delaunay ear-clipping fan.  The vertex slot stays
-  /// allocated (ids are stable) but turns dead: vertex_alive(id) is false
-  /// and the id can no longer be removed or moved.  Throws
-  /// std::invalid_argument for corner scaffolding ids (the rectangle must
-  /// stay covered) or already-dead ids.
+  /// hole with a Delaunay ear-clipping fan.  The id turns dead:
+  /// vertex_alive(id) is false and it can no longer be removed or moved
+  /// until a later insert recycles the slot (vertex slots go through a
+  /// free list like triangle slots, so vertex_count() stays bounded by the
+  /// peak number of live vertices).  Ids of live vertices never change.
+  /// Throws std::invalid_argument for corner scaffolding ids (the
+  /// rectangle must stay covered) or already-dead ids.
   RemoveResult remove(int vertex);
 
   /// remove(vertex) followed by insert(p, z, duplicate_tol), fused into a
@@ -134,11 +139,14 @@ class Delaunay {
 
   const num::Rect& bounds() const noexcept { return bounds_; }
 
+  /// Total number of vertex slots, dead ones included; use vertex_alive
+  /// to filter.
   std::size_t vertex_count() const noexcept { return vertices_.size(); }
   const DtVertex& vertex(int id) const { return vertices_.at(
       static_cast<std::size_t>(id)); }
-  /// False once remove() has retired the id.  Dead vertices keep their
-  /// last pos/z for inspection but belong to no alive triangle.
+  /// False once remove() has retired the id (until an insert recycles
+  /// it).  Dead vertices keep their last pos/z for inspection but belong
+  /// to no alive triangle.
   bool vertex_alive(int id) const {
     return vertex_alive_.at(static_cast<std::size_t>(id)) != 0;
   }
@@ -202,6 +210,7 @@ class Delaunay {
   /// Throws std::invalid_argument unless p is finite and inside bounds_
   /// (within a 1e-9 tolerance).
   void require_in_region(Vec2 p) const;
+  int alloc_vertex(Vec2 p, double z);
   int alloc_triangle();
   void free_triangle(int id);
   bool in_cavity(int tri, Vec2 p) const;
@@ -220,6 +229,7 @@ class Delaunay {
   num::Rect bounds_;
   std::vector<DtVertex> vertices_;
   std::vector<char> vertex_alive_;
+  std::vector<int> free_vertices_;
   std::vector<DtTriangle> triangles_;
   std::vector<int> free_list_;
   std::size_t alive_count_ = 0;

@@ -3,11 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "core/cavity_fan.hpp"
 #include "core/delta.hpp"
 #include "field/analytic_fields.hpp"
 #include "graph/geometric_graph.hpp"
+#include "numerics/rng.hpp"
+#include "oracle/fan_locate.hpp"
 
 namespace cps::core {
 namespace {
@@ -41,6 +50,120 @@ TEST(Fra, ConfigValidation) {
   FraPlanner ok{fast_config()};
   EXPECT_THROW(ok.plan(test_field(), request(5, 0.0)),
                std::invalid_argument);
+}
+
+/// Expects plan() to throw std::invalid_argument naming `field`.
+void expect_rejected(const PlanRequest& req, const std::string& field) {
+  FraPlanner planner{fast_config()};
+  try {
+    planner.plan(test_field(), req);
+    ADD_FAILURE() << "accepted a bad " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Fra, RejectsNonFiniteRcAndBadRegions) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // `rc <= 0` alone let NaN through (a 1-node, 0-relay plan) and planned
+  // normally at rc = inf.
+  for (const double rc : {kNan, kInf, -kInf, 0.0, -1.0}) {
+    SCOPED_TRACE("rc=" + std::to_string(rc));
+    expect_rejected(request(5, rc), "request.rc");
+  }
+  // A NaN region used to throw from inside Delaunay::locate instead.
+  const num::Rect bad_regions[] = {
+      {kNan, 0.0, 100.0, 100.0}, {0.0, 0.0, kNan, 100.0},
+      {0.0, -kInf, 100.0, 100.0}, {0.0, 0.0, 100.0, kInf},
+      {0.0, 0.0, 0.0, 100.0},     {0.0, 50.0, 100.0, 50.0},
+      {100.0, 0.0, 0.0, 100.0}};
+  for (const num::Rect& r : bad_regions) {
+    SCOPED_TRACE("region " + std::to_string(r.x0) + "," +
+                 std::to_string(r.y0) + "," + std::to_string(r.x1) + "," +
+                 std::to_string(r.y1));
+    expect_rejected(PlanRequest{r, 5, 10.0}, "request.region");
+    expect_rejected(PlanRequest{r, 0, 10.0}, "request.region");
+  }
+}
+
+/// Checks the rebucket fan against the per-triangle oracle loop at `p`:
+/// same triangle, same interpolated bits.
+void expect_fan_matches_oracle(const geo::Delaunay& dt,
+                               const std::vector<int>& created,
+                               const detail::CavityFan& fan, geo::Vec2 p) {
+  const detail::CavityFan::Hit got = fan.locate(p);
+  const oracle::FanHit want = oracle::locate_in_fan(dt, created, p);
+  ASSERT_EQ(got.triangle, want.triangle) << "at " << p.x << "," << p.y;
+  if (want.triangle >= 0) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.value),
+              std::bit_cast<std::uint64_t>(want.value))
+        << "at " << p.x << "," << p.y;
+  }
+}
+
+TEST(CavityFan, MatchesPerTriangleLoopOnEdgesVerticesAndTolerance) {
+  num::Rng rng(77);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    geo::Delaunay dt(kRegion);
+    for (int c = 0; c < geo::Delaunay::kCorners; ++c) {
+      dt.set_vertex_z(c, rng.uniform(-3.0, 3.0));
+    }
+    // Lattice-aligned sites give axis-parallel and diagonal fan edges that
+    // pass exactly through representable points.
+    for (int i = 0; i < 12; ++i) {
+      const geo::Vec2 p = rng.uniform() < 0.5
+                              ? geo::Vec2{12.5 * rng.uniform_int(1, 7),
+                                          12.5 * rng.uniform_int(1, 7)}
+                              : geo::Vec2{rng.uniform(1.0, 99.0),
+                                          rng.uniform(1.0, 99.0)};
+      dt.insert(p, rng.uniform(-5.0, 5.0));
+    }
+    const geo::Vec2 site = rng.uniform() < 0.5
+                               ? geo::Vec2{12.5 * rng.uniform_int(1, 7) +
+                                               6.25,
+                                           12.5 * rng.uniform_int(1, 7)}
+                               : geo::Vec2{rng.uniform(5.0, 95.0),
+                                           rng.uniform(5.0, 95.0)};
+    const geo::InsertResult ins = dt.insert(site, rng.uniform(-5.0, 5.0));
+    if (!ins.inserted) continue;
+    const std::vector<int>& created = ins.created_triangles;
+    detail::CavityFan fan;
+    fan.build(dt, created);
+
+    std::vector<geo::Vec2> probes;
+    for (const int tid : created) {
+      const auto& t = dt.triangle(tid);
+      for (int e = 0; e < 3; ++e) {
+        const geo::Vec2 a = dt.vertex(t.v[e]).pos;
+        const geo::Vec2 b = dt.vertex(t.v[(e + 1) % 3]).pos;
+        probes.push_back(a);  // Fan vertices (shared by several triangles).
+        const geo::Vec2 d = b - a;
+        const geo::Vec2 n{-d.y, d.x};
+        const double len = std::sqrt(n.x * n.x + n.y * n.y);
+        for (const double u : {0.5, 0.25, 1.0 / 3.0, 0.875}) {
+          const geo::Vec2 on = a + d * u;  // On (or an ulp off) the edge.
+          probes.push_back(on);
+          // Straddle the 1e-9 band on both sides of the edge.
+          for (const double off : {-5e-9, -1e-9, -1e-10, 1e-10, 1e-9, 5e-9}) {
+            probes.push_back(on + n * (off * 100.0 / len));
+          }
+        }
+      }
+      // The triangle's centroid: an interior point with a unique answer.
+      probes.push_back((dt.vertex(t.v[0]).pos + dt.vertex(t.v[1]).pos +
+                        dt.vertex(t.v[2]).pos) /
+                       3.0);
+    }
+    for (int i = 0; i < 200; ++i) {
+      probes.push_back({rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)});
+    }
+    for (const geo::Vec2 p : probes) {
+      expect_fan_matches_oracle(dt, created, fan, p);
+    }
+  }
 }
 
 TEST(Fra, ZeroBudgetIsEmpty) {

@@ -9,6 +9,9 @@
 //    bit-identical to a fresh DeltaMetric::delta() sweep AND the
 //    remembering-walk oracle (tests/oracle) of the same triangulation
 //    (the DESIGN.md §13 oracle protocol);
+//  * directed batches: hint chains of non-strict points along lattice
+//    rows, flipped far outside the marked cells, and a triangle id
+//    created, destroyed and recycled inside one batch;
 //  * retarget (reference swap) and batched z-update events against the
 //    same oracles;
 //  * rebase after a mid-stream thread-count change;
@@ -16,7 +19,8 @@
 //    policies;
 //  * CmaDeltaTracker: per-slot tracked δ bit-identical to a fresh sweep
 //    of its own triangulation through deaths, revivals, moves, and a
-//    position-aliased node pair.
+//    position-aliased node pair, and a 2 000-slot run whose vertex table
+//    stays bounded by the live count (vertex slots are recycled).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,6 +61,20 @@ field::AnalyticField reference_surface() {
 /// poison later ones.
 struct ThreadGuard {
   ~ThreadGuard() { par::set_thread_count(1); }
+};
+
+/// Arms the telemetry timeline (which pins the 4-row chunk layout) for
+/// the scope when `on`.
+struct ArmedTimeline {
+  explicit ArmedTimeline(bool on) : on_(on) {
+    if (on_) obs::timeline().set_armed(true);
+  }
+  ~ArmedTimeline() {
+    if (!on_) return;
+    obs::timeline().set_armed(false);
+    obs::timeline().clear();
+  }
+  bool on_;
 };
 
 // --- Randomized event fuzz against both fresh oracles ---------------------
@@ -234,17 +252,6 @@ void fuzz_batches(const field::Field& f, std::uint64_t seed,
 }
 
 TEST(IncrementalDeltaFuzz, BatchedCommitsMatchBothOracles) {
-  struct ArmedTimeline {
-    explicit ArmedTimeline(bool on) : on_(on) {
-      if (on_) obs::timeline().set_armed(true);
-    }
-    ~ArmedTimeline() {
-      if (!on_) return;
-      obs::timeline().set_armed(false);
-      obs::timeline().clear();
-    }
-    bool on_;
-  };
   ThreadGuard guard;
   const auto f = reference_surface();
   const field::PeaksField peaks(kRegion);
@@ -273,16 +280,9 @@ TEST(IncrementalDeltaFuzz, MatchesBothOraclesAcrossThreads) {
 TEST(IncrementalDeltaFuzz, ArmedTimelinePinsChunkLayoutAtOneThread) {
   // Armed, one thread runs the 4-row chunk layout instead of the serial
   // chain: tracker, sweep and walk oracle must all switch together.
-  struct ArmedTimeline {
-    ArmedTimeline() { obs::timeline().set_armed(true); }
-    ~ArmedTimeline() {
-      obs::timeline().set_armed(false);
-      obs::timeline().clear();
-    }
-  };
   ThreadGuard guard;
   par::set_thread_count(1);
-  const ArmedTimeline armed;
+  const ArmedTimeline armed(true);
   fuzz_events(reference_surface(), 404, 24, 40);
 }
 
@@ -298,6 +298,164 @@ TEST(IncrementalDeltaFuzz, FieldZoo) {
     fuzz_events(peaks, 7 + threads, 32, 36);
     fuzz_events(bumps, 11 + threads, 32, 36);
     fuzz_events(plane, 13 + threads, 32, 36);
+  }
+}
+
+/// One batch in which a triangle created by the first event is destroyed
+/// by the second and its id recycled by the third, over lattice-aligned
+/// sites (their vertices and edges hold non-strict lattice points), then
+/// one commit: every span-tier, keep and walk decision must land where a
+/// fresh sweep and the walk oracle put it.
+void recycled_id_batch(const field::Field& f) {
+  constexpr std::size_t kRes = 40;  // Midpoints at 1.25 + 2.5 i.
+  DeltaMetric raster(kRegion, kRes);
+  geo::Delaunay dt(kRegion);
+  for (int corner = 0; corner < geo::Delaunay::kCorners; ++corner) {
+    dt.set_vertex_z(corner, f.value(dt.vertex(corner).pos));
+  }
+  num::Rng rng(21);
+  for (int i = 0; i < 30; ++i) {
+    dt.insert({1.25 + 2.5 * static_cast<double>(rng.uniform_int(0, 39)),
+               1.25 + 2.5 * static_cast<double>(rng.uniform_int(0, 39))},
+              rng.uniform(-10.0, 10.0));
+  }
+  IncrementalDelta inc(raster, f, dt);
+  const IncrementalDelta::Stats before = inc.stats();
+
+  const geo::InsertResult first = dt.insert({41.25, 41.25}, 7.5);
+  ASSERT_TRUE(first.inserted);
+  inc.mark(dt, first);
+  // A site inside the first fan kills part of it...
+  const auto& t0 = dt.triangle(first.created_triangles.front());
+  const geo::Vec2 inner = (dt.vertex(t0.v[0]).pos + dt.vertex(t0.v[1]).pos +
+                           dt.vertex(t0.v[2]).pos) /
+                          3.0;
+  const geo::InsertResult second = dt.insert(inner, -4.0);
+  ASSERT_TRUE(second.inserted);
+  inc.mark(dt, second);
+  // ...and a far insertion recycles the freed ids (the free list is LIFO).
+  const geo::InsertResult third = dt.insert({86.25, 13.75}, 3.0);
+  ASSERT_TRUE(third.inserted);
+  inc.mark(dt, third);
+  bool recycled = false;
+  for (const int tid : first.created_triangles) {
+    const bool killed =
+        std::find(second.removed_triangles.begin(),
+                  second.removed_triangles.end(),
+                  tid) != second.removed_triangles.end();
+    const bool reused = std::find(third.created_triangles.begin(),
+                                  third.created_triangles.end(),
+                                  tid) != third.created_triangles.end();
+    recycled = recycled || (killed && reused);
+  }
+  ASSERT_TRUE(recycled) << "the batch must recycle a first-event id";
+  inc.commit(dt);
+
+  const double fresh = raster.delta(f, dt);
+  EXPECT_EQ(inc.value(), fresh);
+  EXPECT_EQ(fresh, oracle::walk_delta(raster, f, dt));
+  // All three tiers ran: span hits inside the fans, keeps in the guard
+  // band around them (old triangles that survived), and walks for the
+  // non-strict points.
+  EXPECT_GT(inc.stats().span_assigns, before.span_assigns);
+  EXPECT_GT(inc.stats().keeps, before.keeps);
+  EXPECT_GT(inc.stats().relocates, before.relocates);
+  EXPECT_EQ(inc.stats().events, before.events + 1);
+  EXPECT_EQ(inc.stats().points_reevaluated - before.points_reevaluated,
+            (inc.stats().span_assigns - before.span_assigns) +
+                (inc.stats().keeps - before.keeps) +
+                (inc.stats().relocates - before.relocates));
+
+  // A follow-up single-event commit starts from the repaired state.
+  inc.apply(dt, dt.insert({18.75, 68.75}, 1.0));
+  EXPECT_EQ(inc.value(), raster.delta(f, dt));
+  EXPECT_EQ(inc.value(), oracle::walk_delta(raster, f, dt));
+}
+
+/// A triangulation whose vertices sit on four lattice rows, joined by
+/// horizontal edges that run along those rows across the whole region.
+/// Every lattice point on such a row is non-strict, and its assignment
+/// (the triangle above or below the edge) follows the walk hint handed
+/// along the row from the left, so an event near a row's left end can
+/// flip assignments far outside its marked cells (as can one near the
+/// right end of the row below, which hands the chain its first hint).
+/// The surface samples the reference plane exactly, so |ref - DT| is
+/// rounding noise and a stale assignment's last-ulp interpolation
+/// difference is not absorbed by a large running sum.  (Dropping the
+/// non-strict re-walk, or visiting the dirty rows in descending order,
+/// fails this test and no other.)
+void chain_events(std::uint64_t seed, bool batched) {
+  constexpr std::size_t kRes = 40;  // Midpoints at 1.25 + 2.5 i.
+  const field::PlaneField f(3.0, 0.125, -0.0625);
+  DeltaMetric raster(kRegion, kRes);
+  geo::Delaunay dt(kRegion);
+  for (int corner = 0; corner < geo::Delaunay::kCorners; ++corner) {
+    dt.set_vertex_z(corner, f.value(dt.vertex(corner).pos));
+  }
+  const auto insert = [&](geo::Vec2 p) { return dt.insert(p, f.value(p)); };
+  for (int row = 0; row < 4; ++row) {
+    const double y = 21.25 + 20.0 * row;
+    const double x0 = row % 2 == 0 ? 1.25 : 6.25;
+    for (int m = 0; m < 10; ++m) insert({x0 + 10.0 * m, y});
+  }
+  IncrementalDelta inc(raster, f, dt);
+  num::Rng rng(seed);
+  std::vector<int> user;
+  for (std::size_t step = 0; step < 40; ++step) {
+    if (rng.uniform() < 0.6 || user.empty()) {
+      const double row_y = 21.25 + 20.0 * static_cast<double>(
+                                              rng.uniform_int(0, 3));
+      // Near a row's left end, where its hint chain starts, or near its
+      // right end, where the previous lattice row hands its last hint
+      // over to the next row's first point.
+      const double x = rng.uniform() < 0.5 ? rng.uniform(0.5, 20.0)
+                                           : rng.uniform(80.0, 99.5);
+      const geo::InsertResult ins =
+          insert({x, row_y + rng.uniform(-6.0, 6.0)});
+      if (ins.inserted) user.push_back(ins.vertex);
+      inc.mark(dt, ins);
+    } else {
+      const auto slot = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(user.size()) - 1));
+      const geo::RemoveResult removal = dt.remove(user[slot]);
+      user.erase(user.begin() + static_cast<std::ptrdiff_t>(slot));
+      inc.mark(dt, removal);
+    }
+    if (batched && rng.uniform() < 0.6) continue;
+    inc.commit(dt);
+    SCOPED_TRACE("step " + std::to_string(step));
+    const double fresh = raster.delta(f, dt);
+    ASSERT_EQ(inc.value(), fresh);
+    ASSERT_EQ(fresh, oracle::walk_delta(raster, f, dt));
+  }
+}
+
+TEST(IncrementalDelta, NonStrictChainsOutsideTheMarksAreReWalked) {
+  ThreadGuard guard;
+  for (const std::size_t threads : {1u, 4u}) {
+    par::set_thread_count(threads);
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " seed=" + std::to_string(seed));
+      chain_events(seed, false);
+      chain_events(seed + 100, true);
+    }
+  }
+}
+
+TEST(IncrementalDelta, RecycledIdInsideOneBatchMatchesBothOracles) {
+  ThreadGuard guard;
+  const auto f = reference_surface();
+  const field::PeaksField peaks(kRegion);
+  for (const bool armed : {false, true}) {
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(armed ? "armed" : "disarmed") +
+                   " threads=" + std::to_string(threads));
+      par::set_thread_count(threads);
+      const ArmedTimeline timeline(armed);
+      recycled_id_batch(f);
+      recycled_id_batch(peaks);
+    }
   }
 }
 
@@ -642,6 +800,60 @@ TEST(CmaDeltaTracker, StationaryNodesReSenseEverySlot) {
       [](double x, double y, double) {
         return 5.0 + 0.05 * x - 0.03 * y + 0.001 * x * y;
       }));
+}
+
+TEST(CmaDeltaTracker, LongRunRecyclesVertexSlots) {
+  // Every move removes a vertex and re-inserts it elsewhere, and deaths
+  // and revivals churn more slots.  Without vertex-slot recycling the
+  // triangulation's vertex table grows by roughly one record per move and
+  // slot; with it the table stays near the live count, and the tracked δ
+  // stays bitwise equal to a fresh sweep.
+  const field::AnalyticTimeField env([](double x, double y, double t) {
+    return 10.0 + 0.04 * x + 0.03 * y +
+           3.0 * std::sin(0.09 * x + 0.35 * t) * std::cos(0.08 * y - 0.3 * t);
+  });
+  std::vector<geo::Vec2> pts;
+  for (int j = 0; j < 5; ++j) {
+    for (int i = 0; i < 6; ++i) {
+      pts.push_back({30.0 + i * 7.0, 30.0 + j * 7.0});
+    }
+  }
+  CmaConfig cfg;
+  cfg.velocity = 2.0;
+  CmaSimulation sim(env, kRegion, pts, cfg);
+  net::FaultSchedule faults;
+  constexpr std::size_t kSlots = 2000;
+  for (std::size_t slot = 50; slot < kSlots; slot += 50) {
+    const std::size_t node = (slot / 50) % pts.size();
+    faults.add_death(slot, node);
+    faults.add_revival(slot + 20, node);
+  }
+  sim.set_fault_schedule(std::move(faults));
+
+  DeltaMetric metric(kRegion, 32);
+  CmaDeltaTracker tracker(sim, metric);
+  for (std::size_t slot = 1; slot <= kSlots; ++slot) {
+    sim.step();
+    const double tracked = tracker.update(sim);
+    const geo::Delaunay& dt = tracker.triangulation();
+    std::size_t alive = 0;
+    for (int v = geo::Delaunay::kCorners;
+         v < static_cast<int>(dt.vertex_count()); ++v) {
+      alive += dt.vertex_alive(v) ? 1 : 0;
+    }
+    ASSERT_LE(dt.vertex_count(), 2 * (alive + geo::Delaunay::kCorners))
+        << "slot " << slot;
+    if (slot % 100 == 0) {
+      SCOPED_TRACE("slot " + std::to_string(slot));
+      ASSERT_EQ(tracked,
+                metric.delta(field::FieldSlice(env, sim.time()), dt));
+      expect_sensed_surface(sim, dt);
+    }
+  }
+  // The run really churned: far more moves than the table holds slots.
+  EXPECT_GT(tracker.stats().node_moves,
+            20 * tracker.triangulation().vertex_count());
+  EXPECT_GT(tracker.stats().node_deaths, 30u);
 }
 
 }  // namespace

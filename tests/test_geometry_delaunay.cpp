@@ -380,6 +380,7 @@ TEST(DelaunayRemove, InsertRemoveChurnKeepsInvariants) {
   Delaunay dt(kRegion);
   num::Rng rng(31);
   std::vector<int> alive_ids;
+  std::size_t peak_alive = 0;
   for (int round = 0; round < 200; ++round) {
     if (!alive_ids.empty() && rng.uniform(0.0, 1.0) < 0.4) {
       const std::size_t pick = static_cast<std::size_t>(
@@ -394,11 +395,25 @@ TEST(DelaunayRemove, InsertRemoveChurnKeepsInvariants) {
                       rng.uniform_int(0, 10) * 10.0}
                : Vec2{rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)};
       const InsertResult ins = dt.insert(p, rng.uniform(-1.0, 1.0));
-      if (ins.inserted) alive_ids.push_back(ins.vertex);
+      if (ins.inserted) {
+        // A recycled slot never aliases a live vertex.
+        ASSERT_EQ(std::count(alive_ids.begin(), alive_ids.end(), ins.vertex),
+                  0);
+        alive_ids.push_back(ins.vertex);
+      }
     }
+    peak_alive = std::max(peak_alive, alive_ids.size());
     ASSERT_TRUE(dt.validate_topology()) << "round " << round;
     ASSERT_NEAR(dt.total_area(), kRegion.area(), 1e-6) << "round " << round;
+    // Removed slots are recycled: the table never outgrows the peak.
+    ASSERT_LE(dt.vertex_count(), Delaunay::kCorners + peak_alive);
   }
+  std::size_t alive = 0;
+  for (int v = Delaunay::kCorners; v < static_cast<int>(dt.vertex_count());
+       ++v) {
+    alive += dt.vertex_alive(v) ? 1 : 0;
+  }
+  EXPECT_EQ(alive, alive_ids.size());
   EXPECT_TRUE(dt.is_delaunay());
 }
 
@@ -429,10 +444,16 @@ TEST(DelaunayMove, MoveRelocatesAndReportsCoverage) {
     dt.insert({rng.uniform(1.0, 99.0), rng.uniform(1.0, 99.0)},
               rng.uniform(-1.0, 1.0));
   }
+  const std::size_t slots = dt.vertex_count();
   const MoveResult m = dt.move_vertex(7, {12.5, 87.5}, 3.25);
   EXPECT_TRUE(m.inserted);
-  EXPECT_FALSE(dt.vertex_alive(7));
+  // The removal frees slot 7 and the insertion recycles it: the moved
+  // sample keeps its id and the vertex table does not grow.
+  EXPECT_EQ(m.vertex, 7);
+  EXPECT_EQ(dt.vertex_count(), slots);
   EXPECT_TRUE(dt.vertex_alive(m.vertex));
+  EXPECT_EQ(dt.vertex(m.vertex).pos.x, 12.5);
+  EXPECT_EQ(dt.vertex(m.vertex).pos.y, 87.5);
   EXPECT_DOUBLE_EQ(dt.vertex(m.vertex).z, 3.25);
   EXPECT_NEAR(dt.interpolate({12.5, 87.5}), 3.25, 1e-12);
   for (const int tid : m.changed_triangles) {
